@@ -228,6 +228,61 @@ impl LruModel {
         h.min(1.0)
     }
 
+    /// [`Self::site_hit_ratio`] at one popularity for many horizons:
+    /// `out[x] = site_hit_ratio(p_site, ks[x])`, bit for bit, with the same
+    /// telemetry tallies as the per-K calls (one evaluation, its terms and
+    /// its cut-off per positive K). The per-rank `ln_1p(−p·pmf)` depends on
+    /// `p_site` alone, so it is computed once per rank and shared by every
+    /// K; each K keeps its own accumulator, summed in the same rank order
+    /// and stopped by the same tail cut-off as the single-K loop. `ks` may
+    /// be in any order and contain duplicates.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `ks`.
+    pub fn site_hit_ratios(&self, p_site: f64, ks: &[f64], out: &mut [f64]) {
+        let out = &mut out[..ks.len()];
+        out.fill(0.0);
+        if p_site <= 0.0 {
+            return;
+        }
+        // Indices of the horizons still summing; a K leaves at its cut-off
+        // rank, exactly where the single-K loop breaks. Like there, only
+        // `k <= 0` returns early (a NaN horizon is summed).
+        let mut live: Vec<usize> = (0..ks.len())
+            .filter(|&x| ks[x] > 0.0 || ks[x].is_nan())
+            .collect();
+        let evals = live.len() as u64;
+        let mut terms: u64 = 0;
+        let mut cutoffs: u64 = 0;
+        for &pmf in self.zipf.pmf_slice() {
+            if live.is_empty() {
+                break;
+            }
+            let p = (p_site * pmf).clamp(0.0, 1.0);
+            let before = live.len();
+            live.retain(|&x| !(p < 0.5 && 2.0 * ks[x] * p < 1e-14));
+            cutoffs += (before - live.len()) as u64;
+            if live.is_empty() {
+                break;
+            }
+            let log_q = (-p).ln_1p();
+            for &x in &live {
+                // `residency(p, k)` with the shared logarithm.
+                out[x] += -(ks[x] * log_q).exp_m1() * pmf;
+            }
+            terms += live.len() as u64;
+        }
+        for h in out.iter_mut() {
+            *h = h.min(1.0);
+        }
+        if telemetry::enabled() && evals > 0 {
+            let c = series_counters();
+            c.evals.add(evals);
+            c.terms.add(terms);
+            c.cutoffs.add(cutoffs);
+        }
+    }
+
     /// Hit ratio adjusted for a fraction `lambda` of uncacheable requests —
     /// the paper's Section 3.3 correction `h · (1 − λ)`.
     pub fn site_hit_ratio_with_lambda(&self, p_site: f64, k: f64, lambda: f64) -> f64 {

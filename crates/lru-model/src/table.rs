@@ -3,8 +3,21 @@
 //! The paper achieves O(1) hit-ratio queries inside the greedy loop by
 //! pre-computing `h(p, K)` "under different values of p and K", with a
 //! granularity of 1e-5 in `p` and 5 slots in `K`. We keep the same grid but
-//! fill it lazily (the planner only ever visits a tiny corner of it) behind
-//! a read-write lock so rayon workers can share one table.
+//! only materialise the cells that are queried (the planner only ever
+//! visits a tiny corner of it), behind a read-write lock so rayon workers
+//! can share one table.
+//!
+//! Cells get filled two ways. A batch caller that knows its queries ahead
+//! of time prefills them: [`HitRatioTable::missing_cells`] turns the
+//! queries into a sorted, deduplicated list of absent cells,
+//! [`HitRatioTable::evaluate_cells`] computes them without touching the
+//! table (one shared-logarithm series per popularity cell, so disjoint
+//! slices can be evaluated on different threads), and
+//! [`HitRatioTable::insert_cells`] stores them in one write-locked pass.
+//! Any query that still lands on an absent cell fills it on the spot,
+//! compute-once under the write lock. Either way each cell is evaluated
+//! exactly once, so the model work is a pure function of the set of cells
+//! queried.
 
 use crate::model::LruModel;
 use parking_lot::RwLock;
@@ -25,7 +38,19 @@ pub enum KQuant {
     Relative(f64),
 }
 
-/// Lazily filled lookup table over quantised `(p, K)`.
+/// A cell of the quantised `(p, K)` grid: the key a query is stored under
+/// plus the grid point the model is evaluated at.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell {
+    /// Popularity index: the cell covers `p ≈ pi · p_step`.
+    pub pi: u64,
+    /// K-grid index, as reported by [`HitRatioTable::k_cell`].
+    ki: u64,
+    /// The quantised horizon the cell is evaluated at.
+    k_q: f64,
+}
+
+/// Lookup table over quantised `(p, K)`, filled on demand.
 ///
 /// Queries round to the nearest grid point (the paper's scheme), so results
 /// differ from the exact model by at most the grid-cell variation; tests
@@ -111,18 +136,85 @@ impl HitRatioTable {
         self.quantise_k(k.max(0.0)).0
     }
 
-    /// Quantised, memoised `h(p, K)`.
-    ///
-    /// Fills are compute-once: the write lock is held across the model
-    /// evaluation, so two workers racing on the same cell never both pay
-    /// for it. Besides avoiding duplicated work, this makes `fills` (and
-    /// the model's series-term counters underneath) a pure function of the
-    /// query set — independent of thread count and scheduling — which the
-    /// telemetry layer's determinism contract relies on.
-    pub fn site_hit_ratio(&self, p: f64, k: f64) -> f64 {
-        use std::sync::atomic::Ordering::Relaxed;
+    /// The grid cell a `(p, K)` query is served from.
+    fn cell(&self, p: f64, k: f64) -> Cell {
         let pi = (p.max(0.0) / self.p_step).round() as u64;
         let (ki, k_q) = self.quantise_k(k.max(0.0));
+        Cell { pi, ki, k_q }
+    }
+
+    /// The cells `queries` (`(p, K)` pairs) land in that are not
+    /// materialised yet, sorted by `(pi, ki)` and deduplicated — a pure
+    /// function of the query set and the table's contents, whatever the
+    /// order of `queries`.
+    pub fn missing_cells(&self, queries: impl IntoIterator<Item = (f64, f64)>) -> Vec<Cell> {
+        let mut cells: Vec<Cell> = {
+            let filled = self.cells.read();
+            queries
+                .into_iter()
+                .map(|(p, k)| self.cell(p, k))
+                .filter(|c| !filled.contains_key(&(c.pi, c.ki)))
+                .collect()
+        };
+        cells.sort_unstable_by_key(|c| (c.pi, c.ki));
+        cells.dedup_by_key(|c| (c.pi, c.ki));
+        cells
+    }
+
+    /// Model values of `cells` (sorted by `pi`, as
+    /// [`Self::missing_cells`] returns them), bit-identical to what
+    /// [`Self::site_hit_ratio`] would fill them with. Each run of equal
+    /// `pi` is one [`LruModel::site_hit_ratios`] call, sharing the
+    /// per-rank logarithms across the run's horizons. Neither reads nor
+    /// writes the table, so callers may evaluate disjoint slices in
+    /// parallel; split them on `pi` boundaries to keep the sharing.
+    pub fn evaluate_cells(&self, cells: &[Cell]) -> Vec<f64> {
+        let mut out = vec![0.0; cells.len()];
+        let mut ks = Vec::new();
+        let mut start = 0;
+        for run in cells.chunk_by(|a, b| a.pi == b.pi) {
+            ks.clear();
+            ks.extend(run.iter().map(|c| c.k_q));
+            let p_q = run[0].pi as f64 * self.p_step;
+            self.model
+                .site_hit_ratios(p_q, &ks, &mut out[start..start + run.len()]);
+            start += run.len();
+        }
+        out
+    }
+
+    /// Store evaluated cells in one write-locked pass; returns how many
+    /// were new. A cell some concurrent query filled meanwhile keeps its
+    /// (bit-identical) value.
+    ///
+    /// # Panics
+    /// Panics unless `cells` and `values` have equal lengths.
+    pub fn insert_cells(&self, cells: &[Cell], values: &[f64]) -> usize {
+        use std::sync::atomic::Ordering::Relaxed;
+        assert_eq!(cells.len(), values.len(), "one value per cell");
+        let mut filled = self.cells.write();
+        let before = filled.len();
+        for (c, &h) in cells.iter().zip(values) {
+            filled.entry((c.pi, c.ki)).or_insert(h);
+        }
+        let new = filled.len() - before;
+        self.fills.fetch_add(new as u64, Relaxed);
+        new
+    }
+
+    /// Quantised, memoised `h(p, K)`.
+    ///
+    /// A query on an absent cell fills it compute-once: the write lock is
+    /// held across the model evaluation, so two workers racing on the same
+    /// cell never both pay for it. Besides avoiding duplicated work, this
+    /// makes `fills` (and the model's series-term counters underneath) a
+    /// pure function of the query set — independent of thread count and
+    /// scheduling — which the telemetry layer's determinism contract relies
+    /// on. Batch callers avoid the lock entirely by prefilling (see the
+    /// module docs).
+    pub fn site_hit_ratio(&self, p: f64, k: f64) -> f64 {
+        use std::sync::atomic::Ordering::Relaxed;
+        let Cell { pi, ki, k_q } = self.cell(p, k);
         let key = (pi, ki);
         if let Some(&h) = self.cells.read().get(&key) {
             self.hits.fetch_add(1, Relaxed);
@@ -241,6 +333,45 @@ mod tests {
                 seen.insert(key, h);
             }
         }
+    }
+
+    #[test]
+    fn prefilled_cells_equal_lazily_filled_ones() {
+        let queries: Vec<(f64, f64)> = [0.2, 0.01, 0.2, 0.0, 0.5]
+            .iter()
+            .flat_map(|&p| [5_000.0, 3.0, 5_010.0, 0.4, 3.0].map(|k| (p, k)))
+            .collect();
+        let lazy = HitRatioTable::planner_default(LruModel::new(300, 0.9));
+        let lazy_values: Vec<f64> = queries
+            .iter()
+            .map(|&(p, k)| lazy.site_hit_ratio(p, k))
+            .collect();
+
+        let batch = HitRatioTable::planner_default(LruModel::new(300, 0.9));
+        let cells = batch.missing_cells(queries.iter().copied());
+        // Sorted, deduplicated: 4 popularity cells × 3 K cells (5000 and
+        // 5010 share one, 0.4 is the sub-slot cell).
+        assert_eq!(cells.len(), 12);
+        assert!(cells
+            .windows(2)
+            .all(|w| (w[0].pi, w[0].ki) < (w[1].pi, w[1].ki)));
+        let values = batch.evaluate_cells(&cells);
+        assert_eq!(batch.insert_cells(&cells, &values), 12);
+        assert_eq!(
+            batch.insert_cells(&cells, &values),
+            0,
+            "cells already present"
+        );
+        assert!(batch.missing_cells(queries.iter().copied()).is_empty());
+        assert_eq!(batch.stats().1, lazy.stats().1, "same number of fills");
+        for (&(p, k), &h) in queries.iter().zip(&lazy_values) {
+            assert_eq!(
+                batch.site_hit_ratio(p, k).to_bits(),
+                h.to_bits(),
+                "p {p} k {k}"
+            );
+        }
+        assert_eq!(batch.stats().1, lazy.stats().1, "lookups filled nothing");
     }
 
     #[test]

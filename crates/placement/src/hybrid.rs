@@ -37,7 +37,7 @@ use cdn_lru_model::{CheModel, ClosedFormLru, LruModel};
 use cdn_telemetry::{self as telemetry, Value};
 use rayon::prelude::*;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Tunables of the hybrid run.
 #[derive(Debug, Clone, Copy)]
@@ -170,20 +170,37 @@ struct Candidate {
 /// so each candidate costs O(1) amortised. When a replica lands, cached
 /// entries are updated in place by the one term the placement changed
 /// (see [`ShrinkMemo::apply_replica`]) rather than invalidated wholesale.
+///
+/// Missing buckets are filled by [`ShrinkMemo::prefill`] before each scan,
+/// so the scan itself only reads.
 struct ShrinkMemo {
     /// `W` per server; `None` = needs recomputation.
     cur_w: Vec<Option<f64>>,
-    /// `S(bucket)` per server, behind a lock for the parallel scan.
-    s: Vec<parking_lot::Mutex<std::collections::HashMap<u32, f64>>>,
+    /// `S(bucket)` per server.
+    s: Vec<HashMap<u32, f64>>,
+}
+
+/// Missing `S` buckets per prefill batch. A batch holds up to this many
+/// times M oracle queries plus the table cells they miss; one batch for a
+/// whole iteration (thousands of buckets on the first one) measurably
+/// raises the planner's peak memory for no speed gain.
+const PREFILL_BUCKETS: usize = 16;
+
+/// Work done by one [`ShrinkMemo::prefill`] (progress reporting only).
+#[derive(Default)]
+struct Prefilled {
+    /// Oracle memo entries filled (hit-ratio table cells for the paper
+    /// model).
+    cells: usize,
+    /// `S` buckets filled.
+    buckets: usize,
 }
 
 impl ShrinkMemo {
     fn new(n: usize) -> Self {
         Self {
             cur_w: vec![None; n],
-            s: (0..n)
-                .map(|_| parking_lot::Mutex::new(std::collections::HashMap::new()))
-                .collect(),
+            s: vec![HashMap::new(); n],
         }
     }
 
@@ -248,7 +265,7 @@ impl ShrinkMemo {
         let r_ij = problem.requests(i, j) as f64;
         let c_old_i = old_col[i] as f64;
         if r_ij > 0.0 && c_old_i > 0.0 {
-            for (&bucket, s) in self.s[i].get_mut().iter_mut() {
+            for (&bucket, s) in self.s[i].iter_mut() {
                 let rep = Self::representative(bucket);
                 *s -= adjusted_hit(problem, oracle, i, j, rep) * r_ij * c_old_i;
             }
@@ -265,7 +282,7 @@ impl ShrinkMemo {
             if let Some(w) = self.cur_w[k] {
                 self.cur_w[k] = Some(w + hits[k][j] * r * delta);
             }
-            for (&bucket, s) in self.s[k].get_mut().iter_mut() {
+            for (&bucket, s) in self.s[k].iter_mut() {
                 let rep = Self::representative(bucket);
                 *s += adjusted_hit(problem, oracle, k, j, rep) * r * delta;
             }
@@ -283,32 +300,95 @@ impl ShrinkMemo {
         }
     }
 
-    /// `S_i(B')`, filling the bucket on first use.
-    fn shrunken_sum(
-        &self,
+    /// Fill every `S` bucket the scan of `candidates` (flat indices) will
+    /// read, in two phases per batch of [`PREFILL_BUCKETS`] buckets: first
+    /// the oracle prefills every hit ratio the buckets' sums query, then
+    /// the sums are taken in parallel, reading only memoised values.
+    ///
+    /// Determinism: the missing buckets are sorted and deduplicated, each
+    /// is evaluated at its canonical representative, and the oracle fills
+    /// exactly the entries the sums query — so the memo contents and every
+    /// model-work counter are the same as filling each bucket on first use
+    /// in the scan, at any thread count.
+    fn prefill(
+        &mut self,
         problem: &PlacementProblem,
         placement: &Placement,
         oracle: &dyn HitRatioOracle,
-        i: usize,
-        new_buf: usize,
-    ) -> f64 {
-        let bucket = Self::bucket(new_buf);
-        // Compute-once: hold the per-server lock across the evaluation so
-        // racing workers never both fill the same bucket. The value would
-        // be identical either way (the representative is canonical), but
-        // the *amount* of oracle work must be schedule-independent for the
-        // telemetry work counters to be bit-identical across thread counts.
-        let mut cells = self.s[i].lock();
-        if let Some(&s) = cells.get(&bucket) {
-            return s;
+        candidates: impl Iterator<Item = usize>,
+    ) -> Prefilled {
+        let m = problem.m_sites();
+        let mut missing: Vec<(usize, u32)> = candidates
+            .filter_map(|flat| {
+                let (i, j) = (flat / m, flat % m);
+                if !placement.fits(problem, i, j) {
+                    return None;
+                }
+                let bucket = Self::bucket(shrunken_buffer(problem, placement, i, j));
+                (!self.s[i].contains_key(&bucket)).then_some((i, bucket))
+            })
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        let mut done = Prefilled {
+            buckets: missing.len(),
+            ..Prefilled::default()
+        };
+        for batch in missing.chunks(PREFILL_BUCKETS) {
+            let mut queries = batch.iter().flat_map(|&(i, bucket)| {
+                let rep = Self::representative(bucket);
+                weighted_sites(problem, placement, i)
+                    .map(move |(k, _, _)| (i, problem.site_popularity(i, k), rep))
+            });
+            done.cells += oracle.prefill(&mut queries);
+            let sums: Vec<f64> = batch
+                .par_iter()
+                .map(|&(i, bucket)| {
+                    let rep = Self::representative(bucket);
+                    weighted_hit_sum(problem, placement, i, |k| {
+                        adjusted_hit(problem, oracle, i, k, rep)
+                    })
+                })
+                .collect();
+            for (&(i, bucket), s) in batch.iter().zip(sums) {
+                self.s[i].insert(bucket, s);
+            }
         }
-        let rep = Self::representative(bucket);
-        let s = weighted_hit_sum(problem, placement, i, |k| {
-            adjusted_hit(problem, oracle, i, k, rep)
-        });
-        cells.insert(bucket, s);
-        s
+        done
     }
+
+    /// `S_i(B')`, read from the bucket [`Self::prefill`] filled.
+    fn shrunken_sum(&self, i: usize, new_buf: usize) -> f64 {
+        *self.s[i]
+            .get(&Self::bucket(new_buf))
+            .expect("prefill filled every bucket the scan reads")
+    }
+}
+
+/// Server `i`'s buffer size after a replica of site `j` takes its bytes.
+fn shrunken_buffer(problem: &PlacementProblem, placement: &Placement, i: usize, j: usize) -> usize {
+    problem.buffer_objects(placement.free_bytes(i) - problem.site_bytes[j])
+}
+
+/// `(k, r_ik, C(i, SN_ik))` for every site `k` that enters server `i`'s
+/// weighted hit sum: not replicated at `i`, requested there, and with its
+/// nearest copy elsewhere.
+fn weighted_sites<'a>(
+    problem: &'a PlacementProblem,
+    placement: &'a Placement,
+    i: usize,
+) -> impl Iterator<Item = (usize, f64, f64)> + 'a {
+    (0..problem.m_sites()).filter_map(move |k| {
+        if placement.is_replicated(i, k) {
+            return None;
+        }
+        let r = problem.requests(i, k) as f64;
+        if r == 0.0 {
+            return None;
+        }
+        let c = placement.nearest_dist(problem, i, k) as f64;
+        (c != 0.0).then_some((k, r, c))
+    })
 }
 
 /// `Σ_{k: !x_ik} h(k)·r_ik·C(i, SN_ik)` for an arbitrary hit function.
@@ -318,22 +398,7 @@ fn weighted_hit_sum(
     i: usize,
     hit: impl Fn(usize) -> f64,
 ) -> f64 {
-    let mut w = 0.0;
-    for k in 0..problem.m_sites() {
-        if placement.is_replicated(i, k) {
-            continue;
-        }
-        let r = problem.requests(i, k) as f64;
-        if r == 0.0 {
-            continue;
-        }
-        let c = placement.nearest_dist(problem, i, k) as f64;
-        if c == 0.0 {
-            continue;
-        }
-        w += hit(k) * r * c;
-    }
-    w
+    weighted_sites(problem, placement, i).fold(0.0, |w, (k, r, c)| w + hit(k) * r * c)
 }
 
 /// Servers that can still profit from a new replica of site `j`: those
@@ -373,7 +438,7 @@ fn evaluate_candidate(
     let mut b = (1.0 - hits[i][j]) * r_ij * c_ij - problem.replica_update_cost(i, j);
 
     // Cache-shrink penalty at server i.
-    let new_buf = problem.buffer_objects(placement.free_bytes(i) - problem.site_bytes[j]);
+    let new_buf = shrunken_buffer(problem, placement, i, j);
     if exact {
         // Literal Figure 2, lines 10–13: recompute every remaining site's
         // hit ratio at the shrunken buffer.
@@ -395,7 +460,7 @@ fn evaluate_candidate(
     } else {
         // Memoised decomposition (see ShrinkMemo).
         let w_cur = memo.cur_w[i].expect("refresh_w ran before the scan");
-        let s_new = memo.shrunken_sum(problem, placement, oracle, i, new_buf);
+        let s_new = memo.shrunken_sum(i, new_buf);
         let h_j_new = adjusted_hit(problem, oracle, i, j, new_buf);
         let j_term = (hits[i][j] - h_j_new) * r_ij * c_ij;
         b -= (w_cur - s_new) - j_term;
@@ -634,14 +699,29 @@ pub fn hybrid_greedy(
 
     while placement.replica_count() < config.max_replicas {
         memo.refresh_w(problem, &placement, &hits);
+        if let Some(l) = &mut lazy {
+            l.stale.sort_unstable();
+            l.stale.dedup();
+        }
+
+        // Prefill, then scan: fill every S bucket (and, through the
+        // oracle, every hit ratio behind it) the scan below will read, so
+        // the scan's memo reads never wait on a fill. The exact shrink
+        // scan reads no S buckets.
+        let prefilled = if config.exact_shrink_scan {
+            Prefilled::default()
+        } else if let Some(l) = &lazy {
+            let stale = l.stale.iter().map(|&flat| flat as usize);
+            memo.prefill(problem, &placement, oracle, stale)
+        } else {
+            memo.prefill(problem, &placement, oracle, 0..n * m)
+        };
 
         let (best, evaluated) = if let Some(l) = &mut lazy {
             // Re-evaluate exactly the candidates whose inputs changed since
             // their cached score was computed. Evaluation runs on the pool;
             // the ordered collect + sequential merge keep the heap contents
             // (and all counters) bit-identical at any thread count.
-            l.stale.sort_unstable();
-            l.stale.dedup();
             let remote_cache: &[i64] = &l.remote;
             let scores: Vec<(u32, Option<(f64, i64)>)> = l
                 .stale
@@ -757,12 +837,14 @@ pub fn hybrid_greedy(
         if progress_every > 0 && benefits.len() % progress_every == 0 {
             eprintln!(
                 "  [plan {:>8.1}s] iter {:>6}: {} replicas, {} evaluated this iter \
-                 ({} total), benefit {:.3}",
+                 ({} total), prefilled {} cells / {} S buckets, benefit {:.3}",
                 started.elapsed().as_secs_f64(),
                 benefits.len(),
                 placement.replica_count(),
                 evaluated,
                 total_evaluated,
+                prefilled.cells,
+                prefilled.buckets,
                 benefit,
             );
         }

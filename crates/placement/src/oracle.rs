@@ -10,6 +10,7 @@
 
 use cdn_lru_model::{CheModel, ClosedFormLru, DemandScale, HitRatioTable, LruModel};
 use parking_lot::Mutex;
+use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// A predictor of per-site LRU hit ratios.
@@ -27,6 +28,19 @@ pub trait HitRatioOracle: Sync + Send {
     /// quantisation cell.
     fn buffer_signature(&self, _server: usize, _b: usize) -> Option<u64> {
         None
+    }
+
+    /// Announce a batch of `(server, p, b)` queries that are about to be
+    /// made, so the oracle can do their memo work up front — in bulk and
+    /// in parallel — instead of one query at a time inside the caller's
+    /// scan. Purely an optimisation: afterwards every
+    /// [`Self::site_hit_ratio`] answer must be bit-identical to what it
+    /// would have been without the call, and the oracle must do no model
+    /// work the queries themselves would not have done. Returns how many
+    /// memo entries it filled (for progress reporting). The default does
+    /// nothing.
+    fn prefill(&self, _queries: &mut dyn Iterator<Item = (usize, f64, usize)>) -> usize {
+        0
     }
 }
 
@@ -104,6 +118,28 @@ impl HitRatioOracle for PaperOracle {
         }
         let k = self.horizon(server, b);
         self.table.site_hit_ratio(p, k)
+    }
+
+    /// Evaluates every absent table cell among `queries` in parallel, one
+    /// task per popularity cell (its horizons share the per-rank
+    /// logarithms), then stores them in one write-locked pass. The filled
+    /// set is exactly the absent cells the queries map to, so model work
+    /// and answers are the same as filling each cell on first query.
+    fn prefill(&self, queries: &mut dyn Iterator<Item = (usize, f64, usize)>) -> usize {
+        let cells = self.table.missing_cells(
+            queries
+                .filter(|&(_, p, b)| b > 0 && p > 0.0)
+                .map(|(server, p, b)| (p, self.horizon(server, b))),
+        );
+        if cells.is_empty() {
+            return 0;
+        }
+        let runs: Vec<_> = cells.chunk_by(|a, b| a.pi == b.pi).collect();
+        let values: Vec<f64> = runs
+            .par_iter()
+            .flat_map_iter(|run| self.table.evaluate_cells(run))
+            .collect();
+        self.table.insert_cells(&cells, &values)
     }
 
     fn buffer_signature(&self, server: usize, b: usize) -> Option<u64> {

@@ -9,12 +9,29 @@
 //! deterministic outputs (timed data goes only to its own file), and the
 //! sampled set itself must be thread-count invariant.
 //!
-//! Everything runs inside one `#[test]` because the telemetry layer is
-//! process-global (enabled flag, registry, installed trace/profiler) —
-//! parallel test functions would race on it.
+//! The trace/metrics checks run inside one `#[test]` because the
+//! telemetry layer is process-global (enabled flag, registry, installed
+//! trace/profiler). The timeline tests run the same pipeline, and the
+//! planner enters spans on whatever trace is installed, so every test in
+//! this file holds [`GLOBAL_TELEMETRY`] for its whole body.
 
 use cdn_core::{Scenario, ScenarioConfig, Strategy};
 use cdn_telemetry as telemetry;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises the tests of this file: any pipeline run touches the
+/// process-global trace sink (the planner's `placement.hybrid` span), and
+/// a span entered by one test inside another test's installed trace breaks
+/// that trace's LIFO nesting.
+static GLOBAL_TELEMETRY: Mutex<()> = Mutex::new(());
+
+/// Take [`GLOBAL_TELEMETRY`], ignoring poison: a failed test must not turn
+/// every later test of the file into a second, misleading failure.
+fn serialise() -> MutexGuard<'static, ()> {
+    GLOBAL_TELEMETRY
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct Observed {
     trace: String,
@@ -71,6 +88,7 @@ fn run_observed(
 
 #[test]
 fn trace_and_metrics_bytes_are_thread_count_invariant() {
+    let _guard = serialise();
     let base_1 = run_observed(1, false, None, None);
     let base_4 = run_observed(4, false, None, None);
     let (trace_1, metrics_1) = (&base_1.trace, &base_1.metrics);
@@ -178,9 +196,10 @@ fn trace_and_metrics_bytes_are_thread_count_invariant() {
 }
 
 /// Full pipeline pass on a dedicated pool with a timeline configuration.
-/// Unlike [`run_observed`] this touches no process-global telemetry state
-/// (the timeline flows through the report alone), so the timeline tests
-/// below can run as independent `#[test]`s.
+/// Unlike [`run_observed`] it installs no observers (the timeline flows
+/// through the report alone), but the pipeline still enters spans on the
+/// process-global trace sink whenever one is installed — callers hold
+/// [`serialise`]'s guard.
 fn run_timeline(
     threads: usize,
     shards: Option<usize>,
@@ -207,6 +226,7 @@ fn run_timeline(
 /// so neither knob can move a byte.
 #[test]
 fn timeline_bytes_are_shard_and_thread_count_invariant() {
+    let _guard = serialise();
     let reference = run_timeline(1, Some(1), Some(128));
     let tl = reference.timeline.as_ref().expect("timeline enabled");
     assert!(tl.windows.len() > 1, "scenario too small to window");
@@ -239,6 +259,7 @@ fn timeline_bytes_are_shard_and_thread_count_invariant() {
 /// to a run with no window configured at all.
 #[test]
 fn zero_window_is_bit_identical_to_no_window() {
+    let _guard = serialise();
     let off = run_timeline(2, None, None);
     let zero = run_timeline(2, None, Some(0));
     assert!(off.timeline.is_none());
