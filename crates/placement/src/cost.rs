@@ -41,13 +41,14 @@ pub fn replication_only_cost(problem: &PlacementProblem, placement: &Placement) 
 /// `U = Σ_j u_j · Σ_{i: X_ij} C(SP_j, i)`. Zero under the paper's
 /// read-only objective (all update rates default to 0).
 pub fn update_cost(problem: &PlacementProblem, placement: &Placement) -> f64 {
+    let replicators = placement.replicator_index();
     let mut u = 0.0;
     for j in 0..problem.m_sites() {
         if problem.update_rates[j] == 0 {
             continue;
         }
-        for i in placement.replicators_of(j) {
-            u += problem.replica_update_cost(i, j);
+        for &i in replicators.site(j) {
+            u += problem.replica_update_cost(i as usize, j);
         }
     }
     u

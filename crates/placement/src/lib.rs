@@ -46,7 +46,7 @@ pub use greedy_local::greedy_local;
 pub use hybrid::{hybrid_greedy, HybridConfig, HybridOutcome};
 pub use oracle::{CheOracle, ClosedFormOracle, HitRatioOracle, PaperOracle};
 pub use problem::PlacementProblem;
-pub use solution::{Nearest, Placement, RankedHolder};
+pub use solution::{Nearest, Placement, RankedHolder, ReplicatorIndex};
 
 /// Hop distance, mirroring `cdn_topology::Hops` without depending on it
 /// (this crate is pure algorithm; it consumes pre-computed matrices).

@@ -4,6 +4,7 @@
 
 use crate::problem::PlacementProblem;
 use crate::Hops;
+use std::sync::{Arc, OnceLock};
 
 /// Where server `i` sends its requests for site `j` when they are not
 /// answered locally.
@@ -25,6 +26,50 @@ pub struct RankedHolder {
     pub dist: Hops,
 }
 
+/// The servers replicating each site, in ascending server order — the
+/// columns of a placement's X matrix, stored compactly (CSR layout) so a
+/// site's replicators are one contiguous slice. Built by
+/// [`Placement::replicator_index`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplicatorIndex {
+    /// `servers[offsets[j]..offsets[j + 1]]` — the replicators of site j.
+    offsets: Vec<usize>,
+    servers: Vec<u32>,
+}
+
+impl ReplicatorIndex {
+    /// One row-major pass over `x` (`m` sites per row) to count, one to
+    /// fill: O(N·M).
+    fn build(m: usize, x: &[bool]) -> Self {
+        let mut offsets = vec![0usize; m + 1];
+        for row in x.chunks_exact(m) {
+            for (j, &r) in row.iter().enumerate() {
+                offsets[j + 1] += usize::from(r);
+            }
+        }
+        for j in 0..m {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut cursor = offsets[..m].to_vec();
+        let mut servers = vec![0u32; offsets[m]];
+        for (i, row) in x.chunks_exact(m).enumerate() {
+            for (j, &r) in row.iter().enumerate() {
+                if r {
+                    servers[cursor[j]] = i as u32;
+                    cursor[j] += 1;
+                }
+            }
+        }
+        Self { offsets, servers }
+    }
+
+    /// Servers replicating site `j`, ascending.
+    #[inline]
+    pub fn site(&self, j: usize) -> &[u32] {
+        &self.servers[self.offsets[j]..self.offsets[j + 1]]
+    }
+}
+
 /// A (partial) assignment of site replicas to servers.
 #[derive(Debug, Clone)]
 pub struct Placement {
@@ -37,6 +82,9 @@ pub struct Placement {
     /// Capacity remaining at each server (available to the cache).
     free_bytes: Vec<u64>,
     replica_count: usize,
+    /// Lazily built per-site replicator lists; reset by every change to
+    /// `x`, so a built index always describes the current placement.
+    replicators: OnceLock<Arc<ReplicatorIndex>>,
 }
 
 impl Placement {
@@ -52,6 +100,7 @@ impl Placement {
             nearest: vec![Nearest::Primary; n * m],
             free_bytes: problem.capacities.clone(),
             replica_count: 0,
+            replicators: OnceLock::new(),
         }
     }
 
@@ -95,9 +144,24 @@ impl Placement {
         self.replica_count
     }
 
-    /// Servers replicating site `j`.
+    /// Servers replicating site `j`, ascending.
     pub fn replicators_of(&self, j: usize) -> Vec<usize> {
-        (0..self.n).filter(|&i| self.is_replicated(i, j)).collect()
+        self.replicator_index()
+            .site(j)
+            .iter()
+            .map(|&i| i as usize)
+            .collect()
+    }
+
+    /// Every site's replicators, shared read-only. Built on first use in
+    /// O(N·M) and kept until the next [`add_replica`](Self::add_replica) or
+    /// [`remove_replica`](Self::remove_replica); later calls hand out the
+    /// same index.
+    pub fn replicator_index(&self) -> Arc<ReplicatorIndex> {
+        Arc::clone(
+            self.replicators
+                .get_or_init(|| Arc::new(ReplicatorIndex::build(self.m, &self.x))),
+        )
     }
 
     /// Sites replicated at server `i`.
@@ -130,6 +194,7 @@ impl Placement {
             "replica ({i}, {j}) exceeds free space"
         );
         self.x[i * self.m + j] = true;
+        self.replicators.take();
         self.free_bytes[i] -= problem.site_bytes[j];
         self.replica_count += 1;
         let mut improved = Vec::new();
@@ -154,6 +219,7 @@ impl Placement {
     pub fn remove_replica(&mut self, problem: &PlacementProblem, i: usize, j: usize) {
         assert!(self.is_replicated(i, j), "replica ({i}, {j}) absent");
         self.x[i * self.m + j] = false;
+        self.replicators.take();
         self.free_bytes[i] += problem.site_bytes[j];
         self.replica_count -= 1;
         for k in 0..self.n {
@@ -388,6 +454,30 @@ mod tests {
         assert_eq!(pl.replicators_of(2), vec![0, 3]);
         assert_eq!(pl.sites_at(0), vec![2]);
         assert!(pl.sites_at(1).is_empty());
+    }
+
+    #[test]
+    fn replicator_index_is_shared_until_the_next_mutation() {
+        let p = problem();
+        let mut pl = Placement::primaries_only(&p);
+        pl.add_replica(&p, 3, 1);
+        pl.add_replica(&p, 0, 1);
+        let a = pl.replicator_index();
+        assert!(
+            Arc::ptr_eq(&a, &pl.replicator_index()),
+            "rebuilt needlessly"
+        );
+        assert_eq!(a.site(1), &[0, 3]);
+        assert!(a.site(0).is_empty() && a.site(2).is_empty());
+        pl.remove_replica(&p, 0, 1);
+        assert_eq!(pl.replicator_index().site(1), &[3], "stale after remove");
+        pl.add_replica(&p, 2, 0);
+        assert_eq!(pl.replicator_index().site(0), &[2], "stale after add");
+        // A handed-out index is a snapshot: later mutations leave it alone.
+        assert_eq!(a.site(1), &[0, 3]);
+        // Clones carry the built index, which still matches the clone.
+        let c = pl.clone();
+        assert_eq!(*c.replicator_index(), *pl.replicator_index());
     }
 
     #[test]

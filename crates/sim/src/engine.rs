@@ -2,7 +2,7 @@
 
 use crate::fault::FaultSchedule;
 use crate::metrics::{Cause, CauseBreakdown, LatencyHistogram, RequestSample};
-use crate::plan::{ConsistencyMode, ServerPlan, SimConfig};
+use crate::plan::{ConsistencyMode, Holder, ServerPlan, SimConfig};
 use crate::timeline::{ServerTimeline, TimelineAcc};
 use cdn_cache::{Cache, CacheStats, ObjectKey};
 use cdn_telemetry as telemetry;
@@ -176,24 +176,34 @@ pub fn resolve(
     }
 }
 
-/// Walk `plan.holders[site]` from `start_rank`, skipping dead holders.
+/// Walk `plan.holders(site)` from `start_rank`, skipping dead holders.
 /// Returns `(hops, from_origin, dead_skipped)` of the first live copy, or
-/// `None` when every holder is down.
+/// `None` when every holder is down. Rank 0 is read from the plan's
+/// nearest-copy fields; the ranked list is only built when the walk has to
+/// look past it.
 #[inline]
 fn first_live_holder(
     plan: &ServerPlan,
     site: usize,
     schedule: &FaultSchedule,
     tick: u64,
-    start_rank: usize,
+    mut start_rank: usize,
     mut dead: u32,
 ) -> Option<(u32, bool, u32)> {
-    for h in &plan.holders[site][start_rank..] {
-        let alive = match h.server {
-            None => !schedule.is_origin_down(tick),
-            Some(k) => !schedule.is_server_down(k as usize, tick),
-        };
-        if alive {
+    let alive = |h: &Holder| match h.server {
+        None => !schedule.is_origin_down(tick),
+        Some(k) => !schedule.is_server_down(k as usize, tick),
+    };
+    if start_rank == 0 {
+        let head = plan.nearest_holder(site);
+        if alive(&head) {
+            return Some((head.hops, head.server.is_none(), dead));
+        }
+        dead += 1;
+        start_rank = 1;
+    }
+    for h in &plan.holders(site)[start_rank..] {
+        if alive(h) {
             return Some((h.hops, h.server.is_none(), dead));
         }
         dead += 1;
@@ -216,7 +226,7 @@ fn first_live_holder(
 ///   served locally without needing any holder.
 ///
 /// With an all-alive schedule this is behaviourally identical to
-/// [`resolve`]: `holders[site][0]` mirrors the scalar nearest-copy fields.
+/// [`resolve`]: rank 0 of `plan.holders(site)` is the nearest copy.
 pub fn resolve_faulted(
     plan: &ServerPlan,
     cache: &mut dyn Cache,
@@ -253,14 +263,14 @@ pub fn resolve_faulted(
         let start_rank = usize::from(plan.replicated[site]);
         return match first_live_holder(plan, site, schedule, tick, start_rank, 1) {
             Some(found) => remote(Resolution::Bypass, found),
-            None => failed(1 + (plan.holders[site].len() - start_rank) as u32),
+            None => failed(1 + (plan.holder_count(site) - start_rank) as u32),
         };
     }
     if plan.replicated[site] {
         return local(Resolution::Replica);
     }
     let fetch = |dead0| first_live_holder(plan, site, schedule, tick, 0, dead0);
-    let all_dead = plan.holders[site].len() as u32;
+    let all_dead = plan.holder_count(site) as u32;
     match req.flavor {
         Flavor::Uncacheable => match fetch(0) {
             Some(found) => remote(Resolution::Bypass, found),
@@ -623,14 +633,13 @@ where
 mod tests {
     use super::*;
     use crate::fault::FaultParams;
-    use crate::plan::{ConsistencyMode as CM, Holder};
+    use crate::plan::ConsistencyMode as CM;
     use cdn_cache::LruCache as Lru;
 
     fn plan(replicated: Vec<bool>, nearest: Vec<u32>, cache_bytes: u64) -> ServerPlan {
-        let nearest_is_primary: Vec<bool> = nearest.iter().map(|&h| h > 0).collect();
-        // Minimal holder lists consistent with the scalar fields: the local
-        // replica when replicated, the primary otherwise.
-        let holders = replicated
+        // Minimal holder chains: the local replica when replicated, the
+        // primary `nearest` hops away otherwise.
+        let chains = replicated
             .iter()
             .zip(&nearest)
             .map(|(&r, &h)| {
@@ -647,14 +656,7 @@ mod tests {
                 }
             })
             .collect();
-        ServerPlan {
-            server: 0,
-            replicated,
-            nearest_hops: nearest,
-            nearest_is_primary,
-            holders,
-            cache_bytes,
-        }
+        ServerPlan::from_chains(0, replicated, chains, cache_bytes)
     }
 
     fn req(site: u32, object: u32, flavor: Flavor) -> Request {
@@ -866,12 +868,10 @@ mod tests {
     /// One server (0), one site with three holders: peer 1 at 2 hops, peer
     /// 2 at 5 hops, the primary at 9 hops.
     fn failover_plan() -> ServerPlan {
-        ServerPlan {
-            server: 0,
-            replicated: vec![false],
-            nearest_hops: vec![2],
-            nearest_is_primary: vec![false],
-            holders: vec![vec![
+        ServerPlan::from_chains(
+            0,
+            vec![false],
+            vec![vec![
                 Holder {
                     server: Some(1),
                     hops: 2,
@@ -885,8 +885,8 @@ mod tests {
                     hops: 9,
                 },
             ]],
-            cache_bytes: 100,
-        }
+            100,
+        )
     }
 
     /// Schedule where server `s` is down for ticks `[0, 100)`.
@@ -1058,12 +1058,10 @@ mod tests {
     fn down_replicator_fails_over_off_its_own_replica() {
         // Server 0 replicates the site (it heads its own holder list) but
         // is down: the request must reach the next holder.
-        let p = ServerPlan {
-            server: 0,
-            replicated: vec![true],
-            nearest_hops: vec![0],
-            nearest_is_primary: vec![false],
-            holders: vec![vec![
+        let p = ServerPlan::from_chains(
+            0,
+            vec![true],
+            vec![vec![
                 Holder {
                     server: Some(0),
                     hops: 0,
@@ -1073,8 +1071,8 @@ mod tests {
                     hops: 9,
                 },
             ]],
-            cache_bytes: 0,
-        };
+            0,
+        );
         let mut cache = Lru::new(0);
         let schedule = down(&[0], false);
         let routed = resolve_faulted(

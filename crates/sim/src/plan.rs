@@ -2,7 +2,8 @@
 //! configuration.
 
 use crate::fault::FaultParams;
-use cdn_placement::{Nearest, Placement, PlacementProblem};
+use cdn_placement::{Nearest, Placement, PlacementProblem, ReplicatorIndex};
+use std::sync::{Arc, OnceLock};
 
 /// One copy holder of a site as seen from a plan's server — the failover
 /// targets of [`crate::engine::resolve_faulted`].
@@ -16,8 +17,14 @@ pub struct Holder {
 }
 
 /// What one CDN server needs to serve requests: which sites it replicates,
-/// how many hops away the nearest copy of every site is, and how many bytes
-/// its cache gets (the capacity left over after replicas).
+/// where the nearest copy of every site is, and how many bytes its cache
+/// gets (the capacity left over after replicas).
+///
+/// The full distance-ranked holder list of a site — the failover order
+/// when holders are down — is not stored up front: [`holders`](Self::holders)
+/// ranks it on first use from the placement's shared
+/// [`ReplicatorIndex`] and this server's distance rows, and memoises it.
+/// Only fault-injected runs that look past the nearest copy ever rank one.
 #[derive(Debug, Clone)]
 pub struct ServerPlan {
     pub server: usize,
@@ -29,48 +36,62 @@ pub struct ServerPlan {
     /// `nearest_is_primary[j]` — the nearest copy of site j is the primary
     /// (origin) site rather than a CDN replica.
     pub nearest_is_primary: Vec<bool>,
-    /// `holders[j]` — every copy holder of site j (replicators plus the
-    /// primary) ranked by distance. `holders[j][0]` always matches
-    /// `nearest_hops[j]`/`nearest_is_primary[j]`; later entries are the
-    /// failover order when holders are down.
-    pub holders: Vec<Vec<Holder>>,
+    /// `nearest_server[j]` — the CDN server holding the nearest copy of
+    /// site j (the `SN` pointer); unused when `nearest_is_primary[j]`.
+    pub nearest_server: Vec<u32>,
     /// Bytes available to the LRU cache.
     pub cache_bytes: u64,
+    /// Inputs of the on-demand ranking; `None` when every list was supplied
+    /// up front by [`from_chains`](Self::from_chains).
+    ranking: Option<Ranking>,
+    /// `ranked[j]` — site j's memoised holder list.
+    ranked: Box<[OnceLock<Box<[Holder]>>]>,
 }
 
+/// What [`ServerPlan::holders`] ranks from: the placement's replicator
+/// lists plus this server's rows of the distance matrices.
+#[derive(Debug, Clone)]
+struct Ranking {
+    replicators: Arc<ReplicatorIndex>,
+    /// `peer_hops[k]` — hops from this server to server k.
+    peer_hops: Box<[u32]>,
+    /// `primary_hops[j]` — hops from this server to site j's primary.
+    primary_hops: Box<[u32]>,
+}
+
+const CHAINS_UP_FRONT: &str = "a plan built from chains has every list up front";
+
 impl ServerPlan {
-    /// Extract server `i`'s plan from a placement.
+    /// Extract server `i`'s plan from a placement: O(N + M) rows plus a
+    /// shared handle on the placement's replicator index.
     pub fn from_placement(problem: &PlacementProblem, placement: &Placement, i: usize) -> Self {
         let m = problem.m_sites();
         let replicated = (0..m).map(|j| placement.is_replicated(i, j)).collect();
         let nearest_hops = (0..m)
             .map(|j| placement.nearest_dist(problem, i, j))
             .collect();
-        let nearest_is_primary = (0..m)
-            .map(|j| matches!(placement.nearest(i, j), Nearest::Primary))
-            .collect();
-        let holders = (0..m)
-            .map(|j| {
-                placement
-                    .ranked_holders(problem, i, j)
-                    .into_iter()
-                    .map(|h| Holder {
-                        server: match h.holder {
-                            Nearest::Primary => None,
-                            Nearest::Server(k) => Some(k),
-                        },
-                        hops: h.dist,
-                    })
-                    .collect()
+        let (nearest_is_primary, nearest_server) = (0..m)
+            .map(|j| match placement.nearest(i, j) {
+                Nearest::Primary => (true, 0),
+                Nearest::Server(k) => (false, k),
             })
-            .collect();
+            .unzip();
+        let ranking = Ranking {
+            replicators: placement.replicator_index(),
+            peer_hops: (0..problem.n_servers())
+                .map(|k| problem.dist_servers(i, k))
+                .collect(),
+            primary_hops: (0..m).map(|j| problem.dist_primary(i, j)).collect(),
+        };
         Self {
             server: i,
             replicated,
             nearest_hops,
             nearest_is_primary,
-            holders,
+            nearest_server,
             cache_bytes: placement.free_bytes(i),
+            ranking: Some(ranking),
+            ranked: (0..m).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -79,6 +100,98 @@ impl ServerPlan {
         (0..problem.n_servers())
             .map(|i| Self::from_placement(problem, placement, i))
             .collect()
+    }
+
+    /// A plan from explicit holder chains, for tests and hand-built
+    /// scenarios: `chains[j]` is site j's failover order, taken as given
+    /// (it is not re-sorted), and its head is the nearest copy.
+    ///
+    /// # Panics
+    /// Panics if a chain is empty or the two lengths differ.
+    pub fn from_chains(
+        server: usize,
+        replicated: Vec<bool>,
+        chains: Vec<Vec<Holder>>,
+        cache_bytes: u64,
+    ) -> Self {
+        assert_eq!(replicated.len(), chains.len(), "one chain per site");
+        let head = |c: &Vec<Holder>| *c.first().expect("a chain needs at least one holder");
+        let nearest_hops = chains.iter().map(|c| head(c).hops).collect();
+        let nearest_is_primary = chains.iter().map(|c| head(c).server.is_none()).collect();
+        let nearest_server = chains.iter().map(|c| head(c).server.unwrap_or(0)).collect();
+        let ranked = chains
+            .into_iter()
+            .map(|c| OnceLock::from(c.into_boxed_slice()))
+            .collect();
+        Self {
+            server,
+            replicated,
+            nearest_hops,
+            nearest_is_primary,
+            nearest_server,
+            cache_bytes,
+            ranking: None,
+            ranked,
+        }
+    }
+
+    /// The nearest copy of `site` — rank 0 of [`holders`](Self::holders),
+    /// read without ranking.
+    #[inline]
+    pub fn nearest_holder(&self, site: usize) -> Holder {
+        Holder {
+            server: (!self.nearest_is_primary[site]).then_some(self.nearest_server[site]),
+            hops: self.nearest_hops[site],
+        }
+    }
+
+    /// How many copies of `site` exist (replicas plus the primary) — the
+    /// length of [`holders`](Self::holders), read without ranking.
+    #[inline]
+    pub fn holder_count(&self, site: usize) -> usize {
+        match &self.ranking {
+            Some(r) => r.replicators.site(site).len() + 1,
+            None => self.ranked[site].get().expect(CHAINS_UP_FRONT).len(),
+        }
+    }
+
+    /// Every copy holder of `site` (replicators plus the primary) ranked by
+    /// distance: the same order as [`Placement::ranked_holders`] — sorted
+    /// by `(hops, server id)` with the primary last among equals, and the
+    /// head pinned to the nearest copy. Ranked on first call, then
+    /// memoised.
+    pub fn holders(&self, site: usize) -> &[Holder] {
+        self.ranked[site].get_or_init(|| {
+            let ranking = self.ranking.as_ref().expect(CHAINS_UP_FRONT);
+            ranking.rank(site, self.nearest_holder(site))
+        })
+    }
+}
+
+impl Ranking {
+    fn rank(&self, site: usize, head: Holder) -> Box<[Holder]> {
+        let mut holders: Vec<Holder> = self
+            .replicators
+            .site(site)
+            .iter()
+            .map(|&k| Holder {
+                server: Some(k),
+                hops: self.peer_hops[k as usize],
+            })
+            .chain(std::iter::once(Holder {
+                server: None,
+                hops: self.primary_hops[site],
+            }))
+            .collect();
+        holders.sort_by_key(|h| (h.hops, h.server.unwrap_or(u32::MAX)));
+        let pos = holders
+            .iter()
+            .position(|&h| h == head)
+            .expect("SN pointer must be a holder");
+        // The head is at minimal distance, so this only reorders
+        // equal-distance entries (see `Placement::ranked_holders`).
+        holders[..=pos].rotate_right(1);
+        holders.into_boxed_slice()
     }
 }
 
@@ -233,7 +346,7 @@ mod tests {
         // copy (replicas + primary) appears in distance order.
         for plan in &plans {
             for j in 0..2 {
-                let h = &plan.holders[j];
+                let h = plan.holders(j);
                 assert_eq!(h[0].hops, plan.nearest_hops[j]);
                 assert_eq!(h[0].server.is_none(), plan.nearest_is_primary[j]);
                 for w in h.windows(2) {
@@ -244,7 +357,7 @@ mod tests {
         // Site 1 is replicated at server 0: server 1 can fail over from the
         // replica (3 hops) to the primary (13 hops).
         assert_eq!(
-            plans[1].holders[1],
+            plans[1].holders(1),
             vec![
                 Holder {
                     server: Some(0),
@@ -258,7 +371,7 @@ mod tests {
         );
         // Site 0 has no replicas: the primary is the only holder.
         assert_eq!(
-            plans[1].holders[0],
+            plans[1].holders(0),
             vec![Holder {
                 server: None,
                 hops: 11

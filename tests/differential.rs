@@ -18,7 +18,7 @@ use cdn_lru_model::{CheModel, ClosedFormLru, LruModel};
 use cdn_placement::hybrid::hybrid_greedy_paper;
 use cdn_placement::{
     exhaustive_optimal, greedy_global, replication_cost_lower_bound, replication_only_cost,
-    update_cost, HybridConfig, PlacementProblem,
+    update_cost, HybridConfig, Nearest, Placement, PlacementProblem,
 };
 use cdn_sim::{
     simulate_server, simulate_server_faulted, FaultParams, FaultSchedule, Holder, ServerPlan,
@@ -282,16 +282,7 @@ fn random_server_plan(m: usize, rng: &mut StdRng) -> ServerPlan {
         replicated.push(local);
         holders.push(chain);
     }
-    let nearest_hops = holders.iter().map(|c: &Vec<Holder>| c[0].hops).collect();
-    let nearest_is_primary = holders.iter().map(|c| c[0].server.is_none()).collect();
-    ServerPlan {
-        server: 0,
-        replicated,
-        nearest_hops,
-        nearest_is_primary,
-        holders,
-        cache_bytes: rng.gen_range(0u64..=4096),
-    }
+    ServerPlan::from_chains(0, replicated, holders, rng.gen_range(0u64..=4096))
 }
 
 fn random_requests(m: usize, count: usize, rng: &mut StdRng) -> Vec<Request> {
@@ -371,6 +362,100 @@ proptest! {
             Some(&schedule),
         );
         assert_server_reports_identical(&plain, &faulted);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle 3a: a server plan's on-demand failover ranking vs. the placement's
+// own `ranked_holders`, and the placement's cached replicator index vs. a
+// fresh column scan, across random add/remove sequences. Hop distances are
+// drawn from a tiny range so that replica/replica and replica/primary ties
+// are the common case — ties are where the SN-pointer pinning and the
+// primary-last rule decide the order.
+// ---------------------------------------------------------------------------
+
+/// A random instance whose hop distances all lie in `1..=max_hop` (the
+/// primary in `1..=max_hop + 1`), with room for every replica everywhere.
+fn tied_problem(n: usize, m: usize, max_hop: u32, rng: &mut StdRng) -> PlacementProblem {
+    let mut dist_ss = vec![0u32; n * n];
+    for i in 0..n {
+        for k in (i + 1)..n {
+            let d = rng.gen_range(1..=max_hop);
+            dist_ss[i * n + k] = d;
+            dist_ss[k * n + i] = d;
+        }
+    }
+    let dist_sp: Vec<u32> = (0..n * m).map(|_| rng.gen_range(1..=max_hop + 1)).collect();
+    PlacementProblem::new(
+        n,
+        m,
+        dist_ss,
+        dist_sp,
+        vec![100; m],
+        vec![100 * m as u64; n],
+        vec![1; n * m],
+        vec![0.0; m],
+        10.0,
+        50,
+        0.8,
+    )
+}
+
+fn assert_routing_matches_placement(problem: &PlacementProblem, placement: &Placement) {
+    let (n, m) = (problem.n_servers(), problem.m_sites());
+    let index = placement.replicator_index();
+    for j in 0..m {
+        let scanned: Vec<usize> = (0..n).filter(|&i| placement.is_replicated(i, j)).collect();
+        let indexed: Vec<usize> = index.site(j).iter().map(|&i| i as usize).collect();
+        assert_eq!(indexed, scanned, "stale replicator index for site {j}");
+        assert_eq!(placement.replicators_of(j), scanned);
+    }
+    for i in 0..n {
+        let plan = ServerPlan::from_placement(problem, placement, i);
+        for j in 0..m {
+            let expected: Vec<Holder> = placement
+                .ranked_holders(problem, i, j)
+                .into_iter()
+                .map(|h| Holder {
+                    server: match h.holder {
+                        Nearest::Primary => None,
+                        Nearest::Server(k) => Some(k),
+                    },
+                    hops: h.dist,
+                })
+                .collect();
+            assert_eq!(plan.holder_count(j), expected.len(), "count ({i},{j})");
+            assert_eq!(plan.nearest_holder(j), expected[0], "head ({i},{j})");
+            assert_eq!(plan.holders(j), expected, "ranking ({i},{j})");
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn lazy_failover_ranking_matches_ranked_holders(
+        n in 2usize..=6,
+        m in 1usize..=4,
+        max_hop in 1u32..=4,
+        ops in 1usize..=16,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let problem = tied_problem(n, m, max_hop, &mut rng);
+        let mut placement = Placement::primaries_only(&problem);
+        assert_routing_matches_placement(&problem, &placement);
+        for _ in 0..ops {
+            // The index is built now, so the mutation below must reset it.
+            let _ = placement.replicator_index();
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..m));
+            if placement.is_replicated(i, j) {
+                placement.remove_replica(&problem, i, j);
+            } else {
+                placement.add_replica(&problem, i, j);
+            }
+            placement.validate(&problem);
+            assert_routing_matches_placement(&problem, &placement);
+        }
     }
 }
 
