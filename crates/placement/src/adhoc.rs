@@ -31,13 +31,10 @@ pub fn adhoc_split(problem: &PlacementProblem, cache_fraction: f64) -> Placement
 
     // Replay the replica set against the full-capacity problem so the
     // leftover bytes are correctly accounted as cache space.
-    let mut placement = Placement::primaries_only(problem);
-    for i in 0..problem.n_servers() {
-        for j in outcome.placement.sites_at(i) {
-            placement.add_replica(problem, i, j);
-        }
-    }
-    placement
+    let sites: Vec<Vec<usize>> = (0..problem.n_servers())
+        .map(|i| outcome.placement.sites_at(i))
+        .collect();
+    Placement::from_server_sites(problem, &sites)
 }
 
 #[cfg(test)]

@@ -32,21 +32,29 @@ pub fn random_placement(problem: &PlacementProblem, seed: u64) -> Placement {
 /// Replicate sites in order of total demand, each at every server where it
 /// fits, until capacity runs out — the "push the hottest sites everywhere"
 /// heuristic.
+///
+/// Each site's replicas are taken in ascending server order, so the
+/// nearest-copy pointers are those of [`Placement::from_server_sites`],
+/// which builds the result in one bulk pass.
 pub fn popularity_placement(problem: &PlacementProblem) -> Placement {
-    let mut placement = Placement::primaries_only(problem);
     let m = problem.m_sites();
     let n = problem.n_servers();
+    let demand: Vec<u64> = (0..m)
+        .map(|j| (0..n).map(|i| problem.requests(i, j)).sum())
+        .collect();
     let mut sites: Vec<usize> = (0..m).collect();
-    let demand_of = |j: usize| -> u64 { (0..n).map(|i| problem.requests(i, j)).sum() };
-    sites.sort_by_key(|&j| std::cmp::Reverse(demand_of(j)));
+    sites.sort_by_key(|&j| std::cmp::Reverse(demand[j]));
+    let mut free = problem.capacities.clone();
+    let mut picked = vec![Vec::new(); n];
     for j in sites {
         for i in 0..n {
-            if placement.fits(problem, i, j) {
-                placement.add_replica(problem, i, j);
+            if problem.site_bytes[j] <= free[i] {
+                free[i] -= problem.site_bytes[j];
+                picked[i].push(j);
             }
         }
     }
-    placement
+    Placement::from_server_sites(problem, &picked)
 }
 
 #[cfg(test)]

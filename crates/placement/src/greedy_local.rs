@@ -11,38 +11,53 @@
 
 use crate::problem::PlacementProblem;
 use crate::solution::Placement;
+use rayon::prelude::*;
 
 /// Density-ordered local knapsack fill at every server.
 ///
 /// Each server ranks sites by `r_j^(i) · C(i, SP_j) / o_j` (cost saved per
 /// byte, against the primary — servers do not know about each other's
 /// replicas) and replicates greedily until nothing more fits.
+///
+/// A server's fill reads only its own row and its own free space, so the
+/// servers are filled in parallel (O(N·M log M)) and the nearest-copy
+/// pointers are then set in one bulk pass by
+/// [`Placement::from_server_sites`] — the placement sequential
+/// server-by-server [`Placement::add_replica`] calls would build.
 pub fn greedy_local(problem: &PlacementProblem) -> Placement {
-    let n = problem.n_servers();
     let m = problem.m_sites();
-    let mut placement = Placement::primaries_only(problem);
-    for i in 0..n {
-        let mut order: Vec<usize> = (0..m).collect();
-        let density = |j: usize| {
-            problem.requests(i, j) as f64 * problem.dist_primary(i, j) as f64
-                / problem.site_bytes[j].max(1) as f64
-        };
-        order.sort_by(|&a, &b| {
-            density(b)
-                .partial_cmp(&density(a))
-                .expect("densities are finite")
-                .then(a.cmp(&b))
-        });
-        for j in order {
-            if problem.requests(i, j) == 0 {
-                continue; // zero benefit; leave the space to the tail/cache
+    let sites: Vec<Vec<usize>> = (0..problem.n_servers())
+        .into_par_iter()
+        .map(|i| {
+            let density: Vec<f64> = (0..m)
+                .map(|j| {
+                    problem.requests(i, j) as f64 * problem.dist_primary(i, j) as f64
+                        / problem.site_bytes[j].max(1) as f64
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..m).collect();
+            // A total order (index breaks density ties), so any sort agrees.
+            order.sort_unstable_by(|&a, &b| {
+                density[b]
+                    .partial_cmp(&density[a])
+                    .expect("densities are finite")
+                    .then(a.cmp(&b))
+            });
+            let mut free = problem.capacities[i];
+            let mut picked = Vec::new();
+            for j in order {
+                if problem.requests(i, j) == 0 {
+                    continue; // zero benefit; leave the space to the tail/cache
+                }
+                if problem.site_bytes[j] <= free {
+                    free -= problem.site_bytes[j];
+                    picked.push(j);
+                }
             }
-            if placement.fits(problem, i, j) {
-                placement.add_replica(problem, i, j);
-            }
-        }
-    }
-    placement
+            picked
+        })
+        .collect();
+    Placement::from_server_sites(problem, &sites)
 }
 
 #[cfg(test)]
@@ -100,6 +115,32 @@ mod tests {
             global <= local + 1e-9,
             "global {global} worse than local {local}"
         );
+    }
+
+    #[test]
+    fn thread_count_invariant() {
+        let mut demand = uniform_demand(12, 9, 4);
+        for (idx, d) in demand.iter_mut().enumerate() {
+            *d = (*d + idx as u64 * 7) % 13;
+        }
+        let p = line_problem(12, 9, 700, 3500, demand);
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| greedy_local(&p))
+        };
+        let (one, four) = (run(1), run(4));
+        four.validate(&p);
+        assert_eq!(one.replica_count(), four.replica_count());
+        for i in 0..12 {
+            assert_eq!(one.sites_at(i), four.sites_at(i), "server {i}");
+            assert_eq!(one.free_bytes(i), four.free_bytes(i), "server {i}");
+            for j in 0..9 {
+                assert_eq!(one.nearest(i, j), four.nearest(i, j), "({i},{j})");
+            }
+        }
     }
 
     #[test]

@@ -203,15 +203,17 @@ impl HitRatioOracle for CheOracle {
 
 /// The closed-form model: per-site hit ratios in O(1) arithmetic once the
 /// shared characteristic scale `τ` of a `(server, buffer)` pair is known.
-/// The `τ` bisection costs O(M·64) and is memoised compute-once, so racing
-/// rayon workers never both pay for it and the amount of solver work is a
-/// pure function of the query set — independent of thread schedule.
+/// The `τ` bisection costs O(M·64) and is memoised compute-once under its
+/// server's lock, so racing rayon workers never both pay for it and the
+/// amount of solver work is a pure function of the query set —
+/// independent of thread schedule — while different servers solve in
+/// parallel.
 pub struct ClosedFormOracle {
     model: ClosedFormLru,
     /// Per-server demand geometry (site popularity mix).
     scales: Vec<DemandScale>,
-    /// (server, b) → τ.
-    memo: Mutex<HashMap<(usize, usize), f64>>,
+    /// Per server: b → τ.
+    memo: Vec<Mutex<HashMap<usize, f64>>>,
 }
 
 impl ClosedFormOracle {
@@ -220,10 +222,13 @@ impl ClosedFormOracle {
             .iter()
             .map(|pops| model.demand_scale(pops))
             .collect();
+        let memo = (0..per_server_pops.len())
+            .map(|_| Mutex::new(HashMap::new()))
+            .collect();
         Self {
             model,
             scales,
-            memo: Mutex::new(HashMap::new()),
+            memo,
         }
     }
 
@@ -233,12 +238,12 @@ impl ClosedFormOracle {
     }
 
     fn characteristic_scale(&self, server: usize, b: usize) -> f64 {
-        let mut memo = self.memo.lock();
-        if let Some(&tau) = memo.get(&(server, b)) {
+        let mut memo = self.memo[server].lock();
+        if let Some(&tau) = memo.get(&b) {
             return tau;
         }
         let tau = self.model.characteristic_scale(b, &self.scales[server]);
-        memo.insert((server, b), tau);
+        memo.insert(b, tau);
         tau
     }
 }
@@ -328,12 +333,14 @@ mod tests {
         let o = ClosedFormOracle::new(ClosedFormLru::new(100, 1.0), &pops());
         assert_eq!(o.site_hit_ratio(0, 0.5, 0), 0.0);
         assert_eq!(o.site_hit_ratio(0, 0.0, 100), 0.0);
+        let solves = || o.memo.iter().map(|m| m.lock().len()).sum::<usize>();
         let a = o.site_hit_ratio(1, 0.8, 60);
         let b = o.site_hit_ratio(1, 0.8, 60);
         assert_eq!(a, b);
-        assert_eq!(o.memo.lock().len(), 1);
+        assert_eq!(solves(), 1);
+        assert_eq!(o.memo[1].lock().len(), 1, "solved under the wrong server");
         let bigger = o.site_hit_ratio(1, 0.8, 120);
-        assert_eq!(o.memo.lock().len(), 2);
+        assert_eq!(solves(), 2);
         assert!(bigger >= a, "more buffer can't hurt: {bigger} < {a}");
     }
 }

@@ -1,9 +1,11 @@
 //! The mutable placement: the X matrix, per-server free space, and the
 //! nearest-replica (`SN`) pointers, maintained incrementally as replicas
-//! are created — the book-keeping of lines 19–25 of the paper's Figure 2.
+//! are created — the book-keeping of lines 19–25 of the paper's Figure 2 —
+//! or set in one bulk pass when a whole replica set is known up front.
 
 use crate::problem::PlacementProblem;
 use crate::Hops;
+use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 /// Where server `i` sends its requests for site `j` when they are not
@@ -102,6 +104,44 @@ impl Placement {
             replica_count: 0,
             replicators: OnceLock::new(),
         }
+    }
+
+    /// A placement holding exactly the replicas `sites[i]` at each server
+    /// `i` (any order within a server), built in bulk: O(R) to set `x` and
+    /// free space, one [`ReplicatorIndex`] build (kept, so
+    /// [`replicator_index`](Self::replicator_index) hands it out), and one
+    /// O(N·R) pass over the SN pointers, parallel over servers.
+    ///
+    /// The result is the placement that [`add_replica`](Self::add_replica)
+    /// produces when the replicas arrive in **server-major order** (server
+    /// 0's sites, then server 1's, …), bit for bit. That fixes the SN
+    /// tie-break contract: for server `k` and site `j`, start at the
+    /// primary, scan the replicators of `j` in ascending server order and
+    /// move only to one that is *strictly* closer — so an equidistant
+    /// primary beats every replica and the lowest-indexed of equidistant
+    /// replicas wins — except that a replicator is always its own SN.
+    ///
+    /// # Panics
+    /// Panics if `sites.len()` is not the server count, a replica is listed
+    /// twice, or a server's replicas exceed its capacity.
+    pub fn from_server_sites(problem: &PlacementProblem, sites: &[Vec<usize>]) -> Self {
+        let mut placement = Self::primaries_only(problem);
+        assert_eq!(sites.len(), placement.n, "one site list per server");
+        let m = placement.m;
+        for (i, row) in sites.iter().enumerate() {
+            for &j in row {
+                assert!(!placement.x[i * m + j], "replica ({i}, {j}) already exists");
+                assert!(
+                    problem.site_bytes[j] <= placement.free_bytes[i],
+                    "replica ({i}, {j}) exceeds free space"
+                );
+                placement.x[i * m + j] = true;
+                placement.free_bytes[i] -= problem.site_bytes[j];
+                placement.replica_count += 1;
+            }
+        }
+        placement.rebuild_nearest(problem);
+        placement
     }
 
     pub fn n_servers(&self) -> usize {
@@ -238,25 +278,33 @@ impl Placement {
         }
     }
 
-    /// Recompute every SN pointer from scratch — O(N²M); used by tests to
-    /// check the incremental maintenance and by bulk constructors.
+    /// Recompute every SN pointer from scratch — the bulk pass of
+    /// [`from_server_sites`](Self::from_server_sites), with its tie-break:
+    /// row by row in parallel, server `k`'s row reading only its own
+    /// `dist_servers` row and the shared replicator index (built and kept
+    /// if absent). O(N·R) for R replicas. Tests use it to check the
+    /// incremental maintenance.
     pub fn rebuild_nearest(&mut self, problem: &PlacementProblem) {
-        for i in 0..self.n {
-            for j in 0..self.m {
-                let mut best = Nearest::Primary;
-                let mut best_d = problem.dist_primary(i, j);
-                for k in 0..self.n {
-                    if self.is_replicated(k, j) {
-                        let d = problem.dist_servers(i, k);
-                        if d < best_d || (d == best_d && best == Nearest::Primary) {
-                            best = Nearest::Server(k as u32);
+        let index = self.replicator_index();
+        let m = self.m;
+        self.nearest
+            .chunks_mut(m)
+            .enumerate()
+            .into_par_iter()
+            .for_each(|(k, row)| {
+                for (j, sn) in row.iter_mut().enumerate() {
+                    let mut best = Nearest::Primary;
+                    let mut best_d = problem.dist_primary(k, j);
+                    for &s in index.site(j) {
+                        let d = problem.dist_servers(k, s as usize);
+                        if d < best_d || s as usize == k {
+                            best = Nearest::Server(s);
                             best_d = d;
                         }
                     }
+                    *sn = best;
                 }
-                self.nearest[i * self.m + j] = best;
-            }
-        }
+            });
     }
 
     /// Every holder of site `j` (each replicator plus the primary), ranked

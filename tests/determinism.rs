@@ -2,7 +2,7 @@
 //! placements, predictions and simulation results, including across the
 //! rayon-parallelised planner and simulator.
 
-use cdn_core::{Scenario, ScenarioConfig, Strategy};
+use cdn_core::{ModelBackend, Scenario, ScenarioConfig, Strategy};
 
 #[test]
 fn whole_pipeline_is_reproducible() {
@@ -63,6 +63,38 @@ fn all_strategies_are_reproducible() {
         );
         for i in 0..s1.problem.n_servers() {
             assert_eq!(a.placement.sites_at(i), b.placement.sites_at(i));
+        }
+    }
+}
+
+/// Greedy-local fills servers in parallel, builds the nearest-copy
+/// pointers in one parallel pass, and the closed-form oracle solves `τ`
+/// under per-server locks: none of it may depend on the thread count.
+#[test]
+fn closed_form_greedy_local_is_thread_count_invariant() {
+    let s = Scenario::generate(&ScenarioConfig::small());
+    let run = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| Strategy::GreedyLocal.run_with_model(&s.problem, ModelBackend::ClosedForm))
+    };
+    let (one, four) = (run(1), run(4));
+    assert_eq!(one.predicted_cost.to_bits(), four.predicted_cost.to_bits());
+    let bits = |r: &cdn_core::PlanResult| -> Vec<Vec<u64>> {
+        r.hit_ratios
+            .as_ref()
+            .expect("greedy-local predicts hit ratios")
+            .iter()
+            .map(|row| row.iter().map(|h| h.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&one), bits(&four));
+    for i in 0..s.problem.n_servers() {
+        assert_eq!(one.placement.sites_at(i), four.placement.sites_at(i));
+        for j in 0..s.problem.m_sites() {
+            assert_eq!(one.placement.nearest(i, j), four.placement.nearest(i, j));
         }
     }
 }

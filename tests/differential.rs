@@ -17,8 +17,9 @@ use cdn_cache::{Cache, LruCache, ObjectKey};
 use cdn_lru_model::{CheModel, ClosedFormLru, LruModel};
 use cdn_placement::hybrid::hybrid_greedy_paper;
 use cdn_placement::{
-    exhaustive_optimal, greedy_global, replication_cost_lower_bound, replication_only_cost,
-    update_cost, HybridConfig, Nearest, Placement, PlacementProblem,
+    adhoc_split, exhaustive_optimal, greedy_global, greedy_local, popularity_placement,
+    replication_cost_lower_bound, replication_only_cost, update_cost, HybridConfig, Nearest,
+    Placement, PlacementProblem,
 };
 use cdn_sim::{
     simulate_server, simulate_server_faulted, FaultParams, FaultSchedule, Holder, ServerPlan,
@@ -27,6 +28,7 @@ use cdn_sim::{
 use cdn_workload::{Flavor, Request, ZipfLike};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------------------
@@ -456,6 +458,192 @@ proptest! {
             placement.validate(&problem);
             assert_routing_matches_placement(&problem, &placement);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle 2d: the bulk placement constructor vs. one `add_replica` per
+// replica in server-major order, and the heuristics built on it vs. their
+// original sequential loops (kept here as test-local oracles). Hop
+// distances are tiny so peer/peer and peer/primary ties are the common
+// case, and 0-hop pairs (a server co-located with a peer or with a site's
+// primary) make the "a replicator is its own SN" override observable.
+// ---------------------------------------------------------------------------
+
+/// Hop distances in `0..=max_hop` (primary in `0..=max_hop + 1`), random
+/// site sizes, capacities and (partly zero) demands.
+fn tied_knapsack_problem(n: usize, m: usize, max_hop: u32, rng: &mut StdRng) -> PlacementProblem {
+    let mut dist_ss = vec![0u32; n * n];
+    for i in 0..n {
+        for k in (i + 1)..n {
+            let d = rng.gen_range(0..=max_hop);
+            dist_ss[i * n + k] = d;
+            dist_ss[k * n + i] = d;
+        }
+    }
+    let dist_sp: Vec<u32> = (0..n * m).map(|_| rng.gen_range(0..=max_hop + 1)).collect();
+    let site_bytes: Vec<u64> = (0..m).map(|_| 100 * rng.gen_range(1u64..=4)).collect();
+    let total_bytes: u64 = site_bytes.iter().sum();
+    let capacities: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=total_bytes)).collect();
+    let demand: Vec<u64> = (0..n * m).map(|_| rng.gen_range(0u64..6)).collect();
+    PlacementProblem::new(
+        n,
+        m,
+        dist_ss,
+        dist_sp,
+        site_bytes,
+        capacities,
+        demand,
+        vec![0.0; m],
+        10.0,
+        50,
+        0.8,
+    )
+}
+
+/// `sites[i]` added to server `i` one `add_replica` at a time, servers in
+/// ascending order.
+fn server_major_add_replica(problem: &PlacementProblem, sites: &[Vec<usize>]) -> Placement {
+    let mut placement = Placement::primaries_only(problem);
+    for (i, row) in sites.iter().enumerate() {
+        for &j in row {
+            placement.add_replica(problem, i, j);
+        }
+    }
+    placement
+}
+
+fn assert_placements_identical(problem: &PlacementProblem, a: &Placement, b: &Placement) {
+    let (n, m) = (problem.n_servers(), problem.m_sites());
+    assert_eq!(a.replica_count(), b.replica_count(), "replica_count");
+    for i in 0..n {
+        assert_eq!(a.free_bytes(i), b.free_bytes(i), "free bytes of server {i}");
+        for j in 0..m {
+            assert_eq!(a.is_replicated(i, j), b.is_replicated(i, j), "x ({i},{j})");
+            assert_eq!(a.nearest(i, j), b.nearest(i, j), "SN ({i},{j})");
+        }
+    }
+    assert_eq!(*a.replicator_index(), *b.replicator_index(), "index");
+}
+
+/// `greedy_local`'s original loop: each server sorts by density and fills
+/// with `fits` + `add_replica`.
+fn greedy_local_sequential(problem: &PlacementProblem) -> Placement {
+    let (n, m) = (problem.n_servers(), problem.m_sites());
+    let mut placement = Placement::primaries_only(problem);
+    for i in 0..n {
+        let mut order: Vec<usize> = (0..m).collect();
+        let density = |j: usize| {
+            problem.requests(i, j) as f64 * problem.dist_primary(i, j) as f64
+                / problem.site_bytes[j].max(1) as f64
+        };
+        order.sort_by(|&a, &b| {
+            density(b)
+                .partial_cmp(&density(a))
+                .expect("densities are finite")
+                .then(a.cmp(&b))
+        });
+        for j in order {
+            if problem.requests(i, j) > 0 && placement.fits(problem, i, j) {
+                placement.add_replica(problem, i, j);
+            }
+        }
+    }
+    placement
+}
+
+/// `popularity_placement`'s original loop: sites by total demand, each at
+/// every server where it fits, via `add_replica`.
+fn popularity_sequential(problem: &PlacementProblem) -> Placement {
+    let (n, m) = (problem.n_servers(), problem.m_sites());
+    let mut placement = Placement::primaries_only(problem);
+    let mut sites: Vec<usize> = (0..m).collect();
+    let demand_of = |j: usize| -> u64 { (0..n).map(|i| problem.requests(i, j)).sum() };
+    sites.sort_by_key(|&j| std::cmp::Reverse(demand_of(j)));
+    for j in sites {
+        for i in 0..n {
+            if placement.fits(problem, i, j) {
+                placement.add_replica(problem, i, j);
+            }
+        }
+    }
+    placement
+}
+
+/// `adhoc_split`'s original replay: greedy-global on shrunk capacities,
+/// then one `add_replica` per replica against the full problem.
+fn adhoc_sequential(problem: &PlacementProblem, cache_fraction: f64) -> Placement {
+    let mut shrunk = problem.clone();
+    shrunk.capacities = problem
+        .capacities
+        .iter()
+        .map(|&c| ((c as f64) * (1.0 - cache_fraction)).floor() as u64)
+        .collect();
+    let outcome = greedy_global(&shrunk);
+    let sites: Vec<Vec<usize>> = (0..problem.n_servers())
+        .map(|i| outcome.placement.sites_at(i))
+        .collect();
+    server_major_add_replica(problem, &sites)
+}
+
+proptest! {
+    #[test]
+    fn bulk_placement_matches_server_major_add_replica(
+        n in 1usize..=8,
+        m in 1usize..=5,
+        max_hop in 1u32..=4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let problem = tied_knapsack_problem(n, m, max_hop, &mut rng);
+        // A random subset of sites per server that fits its capacity, in
+        // random order (the order within a server must not matter).
+        let sites: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                let mut free = problem.capacities[i];
+                let mut row: Vec<usize> = (0..m).collect();
+                row.shuffle(&mut rng);
+                row.retain(|&j| {
+                    let take = rng.gen_bool(0.6) && problem.site_bytes[j] <= free;
+                    if take {
+                        free -= problem.site_bytes[j];
+                    }
+                    take
+                });
+                row
+            })
+            .collect();
+        let bulk = Placement::from_server_sites(&problem, &sites);
+        bulk.validate(&problem);
+        assert_placements_identical(&problem, &bulk, &server_major_add_replica(&problem, &sites));
+        let mut rebuilt = bulk.clone();
+        rebuilt.rebuild_nearest(&problem);
+        assert_placements_identical(&problem, &bulk, &rebuilt);
+    }
+
+    #[test]
+    fn bulk_built_heuristics_match_their_sequential_loops(
+        n in 1usize..=8,
+        m in 1usize..=6,
+        max_hop in 1u32..=4,
+        cache_fraction in 0.0f64..=1.0,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let problem = tied_knapsack_problem(n, m, max_hop, &mut rng);
+        let local = greedy_local(&problem);
+        local.validate(&problem);
+        assert_placements_identical(&problem, &local, &greedy_local_sequential(&problem));
+        let popular = popularity_placement(&problem);
+        popular.validate(&problem);
+        assert_placements_identical(&problem, &popular, &popularity_sequential(&problem));
+        let adhoc = adhoc_split(&problem, cache_fraction);
+        adhoc.validate(&problem);
+        assert_placements_identical(
+            &problem,
+            &adhoc,
+            &adhoc_sequential(&problem, cache_fraction),
+        );
     }
 }
 
