@@ -19,9 +19,8 @@
 //!                     [--threads <n>] [--quiet] ...`
 
 use cdn_bench::harness::{banner, progress, write_csv, write_json, BenchArgs, PhaseTimings};
-use cdn_core::{export_events, replay_events, Scenario, Strategy};
+use cdn_core::{export_events, replay_streams, ReplayStreams, Scenario, Strategy};
 use cdn_sim::SimReport;
-use cdn_workload::TraceEvent;
 use std::fmt::Write as _;
 
 /// The remote-fetch latencies (in ticks) the sweep replays at. 0 is the
@@ -32,11 +31,11 @@ const FETCH_LATENCIES: [u64; 4] = [0, 16, 64, 256];
 fn replay_at(
     scenario: &mut Scenario,
     plan: &cdn_core::PlanResult,
-    events: &[TraceEvent],
+    streams: &ReplayStreams,
     fetch_latency: Option<u64>,
 ) -> SimReport {
     scenario.config.sim.fetch_latency = fetch_latency;
-    replay_events(scenario, plan, events.to_vec())
+    replay_streams(scenario, plan, streams)
 }
 
 /// Bitwise equality of the fields that summarise a replay.
@@ -83,19 +82,24 @@ fn main() {
     });
     println!("  trace: {} events from {source}", events.len());
     assert!(!events.is_empty(), "empty trace");
+    // One partition serves every replay below: the fetch latency changes
+    // only the simulator, not the per-server streams.
+    let streams = timings.time("partition", || {
+        ReplayStreams::for_scenario(events, &scenario)
+    });
 
     let plan = timings.time("placement", || scenario.plan(Strategy::Hybrid));
 
     progress("replay: instant-fetch baseline");
     let instant = timings.time("replay_instant", || {
-        replay_at(&mut scenario, &plan, &events, None)
+        replay_at(&mut scenario, &plan, &streams, None)
     });
     let mut rows = Vec::new();
     let mut sweep = Vec::new();
     for latency in FETCH_LATENCIES {
         progress(&format!("replay: fetch latency {latency}"));
         let report = timings.time(&format!("replay_l{latency}"), || {
-            replay_at(&mut scenario, &plan, &events, Some(latency))
+            replay_at(&mut scenario, &plan, &streams, Some(latency))
         });
         rows.push(format!(
             "{latency},{},{},{},{},{:.3}",
@@ -141,7 +145,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"scale\": \"{}\",", scale.label());
-    let _ = writeln!(json, "  \"events\": {},", events.len());
+    let _ = writeln!(json, "  \"events\": {},", streams.total_events());
     let _ = writeln!(json, "  \"off_switch_identical\": {off_identical},");
     let _ = writeln!(json, "  \"coalesced\": {coalesced},");
     let _ = writeln!(json, "  \"sweep\": [");

@@ -2,8 +2,8 @@
 
 use crate::args::Args;
 use cdn_core::{
-    compare_strategies_with_options, export_events, parse_csv_trace, replay_events, ModelBackend,
-    Scenario, ScenarioConfig, Strategy,
+    compare_strategies_with_options, export_events, parse_csv_trace, replay_streams, ModelBackend,
+    ReplayStreams, Scenario, ScenarioConfig, Strategy,
 };
 use cdn_telemetry as telemetry;
 use cdn_topology::metrics::compute_metrics;
@@ -387,11 +387,12 @@ pub fn compare(a: &Args) -> Result<(), String> {
         let events = cdn_workload::read_events_file(std::path::Path::new(path))
             .map_err(|e| format!("reading {path}: {e}"))?;
         println!("replaying {} events from {path}", events.len());
+        let streams = ReplayStreams::for_scenario(events, &scenario);
         let rows = strategies
             .iter()
             .map(|&strategy| {
                 let plan = scenario.plan_with_model(strategy, model);
-                let report = replay_events(&scenario, &plan, events.clone());
+                let report = replay_streams(&scenario, &plan, &streams);
                 cdn_core::ComparisonRow {
                     strategy,
                     plan,

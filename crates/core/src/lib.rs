@@ -48,6 +48,6 @@ pub use analysis::{
     compare_strategies, compare_strategies_with_options, compare_strategies_with_policy,
     ComparisonRow, StrategyComparison,
 };
-pub use replay::{export_events, parse_csv_trace, replay_events, ReplayStreams};
+pub use replay::{export_events, parse_csv_trace, replay_events, replay_streams, ReplayStreams};
 pub use scenario::{CapacityProfile, Scenario, ScenarioConfig};
 pub use strategy::{ModelBackend, PlanResult, Strategy, MODEL_NAMES};

@@ -19,9 +19,11 @@
 //!   object land on one server, the regime where delayed-hit coalescing
 //!   matters) and clamps sites/objects into the replaying scenario's
 //!   catalog, so any trace replays against any scenario. The resulting
-//!   per-server streams feed [`cdn_sim::simulate_system_streams`], which
+//!   per-server streams (one flat slot buffer) feed
+//!   [`cdn_sim::simulate_system_streams`] through [`replay_streams`], which
 //!   keeps replay byte-identical at any thread or shard count (DESIGN.md
 //!   §9.1: per-server state is keyed on the deterministic stream tick).
+//!   One partition replays any number of plans.
 
 use crate::scenario::Scenario;
 use crate::strategy::{PlanResult, Strategy};
@@ -128,10 +130,25 @@ pub fn parse_csv_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     Ok(events)
 }
 
+/// Events scattered between releases of the consumed trace tail in
+/// [`ReplayStreams::from_events`] (16 MiB of decoded events).
+const RELEASE_BLOCK: usize = 1 << 20;
+
+/// Bits needed to hold every value below `n` (0 for `n == 1`).
+fn bits_below(n: usize) -> u32 {
+    usize::BITS - (n - 1).leading_zeros()
+}
+
 /// Per-server request streams rebuilt from a trace, ready to feed
 /// [`cdn_sim::simulate_system_streams`].
+///
+/// Compressed-sparse-row layout: one flat buffer of 4-byte slots, server
+/// `s`'s stream at `slots[offsets[s]..offsets[s + 1]]`. A slot packs the
+/// clamped request as `site << obj_bits | object`.
 pub struct ReplayStreams {
-    streams: Vec<Vec<Request>>,
+    offsets: Vec<usize>,
+    slots: Vec<u32>,
+    obj_bits: u32,
 }
 
 impl ReplayStreams {
@@ -143,46 +160,129 @@ impl ReplayStreams {
     ///   replaying catalog (`site % m_sites`, `object % objects_per_site`),
     ///   so any trace replays against any scenario.
     /// * Order: stable by timestamp (ties keep input order), so replay is
-    ///   independent of how the trace was produced or stored.
+    ///   independent of how the trace was produced or stored. Only an
+    ///   out-of-order trace is sorted.
+    ///
+    /// A counting pass sizes each server's segment; a stable scatter from
+    /// the back of `events` then fills each segment from its end, handing
+    /// the consumed tail of the trace back to the allocator every
+    /// [`RELEASE_BLOCK`] events, so the decoded trace and the streams are
+    /// never both fully resident.
     ///
     /// All requests replay as [`Flavor::Normal`]; the `.events` format
     /// carries no uncacheable/expired flags.
+    ///
+    /// # Panics
+    /// If any count is zero, or a slot cannot hold the catalog:
+    /// `bits(m_sites - 1) + bits(objects_per_site - 1)` must be at most 32.
     pub fn from_events(
-        mut events: Vec<TraceEvent>,
+        events: Vec<TraceEvent>,
         n_servers: usize,
         m_sites: usize,
         objects_per_site: usize,
     ) -> Self {
+        Self::scatter(events, n_servers, m_sites, objects_per_site, RELEASE_BLOCK)
+    }
+
+    /// [`Self::from_events`], releasing the trace every `block` events.
+    fn scatter(
+        mut events: Vec<TraceEvent>,
+        n_servers: usize,
+        m_sites: usize,
+        objects_per_site: usize,
+        block: usize,
+    ) -> Self {
         assert!(n_servers > 0, "need at least one server");
         assert!(m_sites > 0, "need at least one site");
         assert!(objects_per_site > 0, "need at least one object per site");
-        events.sort_by_key(|e| e.timestamp_us);
-        let mut streams = vec![Vec::new(); n_servers];
-        for e in &events {
-            let (site, object) = unpack_key(e.key);
-            let server = (mix64(e.key) % n_servers as u64) as usize;
-            streams[server].push(Request {
-                site: site % m_sites as u32,
-                object: object % objects_per_site as u32,
-                flavor: Flavor::Normal,
-            });
+        let site_bits = bits_below(m_sites);
+        let obj_bits = bits_below(objects_per_site);
+        assert!(
+            site_bits + obj_bits <= 32,
+            "catalog too large for 32-bit replay slots: {m_sites} sites need {site_bits} bits \
+             and {objects_per_site} objects per site {obj_bits}, 32 at most"
+        );
+        if !events.is_sorted_by_key(|e| e.timestamp_us) {
+            events.sort_by_key(|e| e.timestamp_us);
         }
-        Self { streams }
+        // Both moduli fit in u32 except a 2^32-entry side (the other then
+        // has one entry), which wraps to 0: that clamp is the identity.
+        let (m, l) = (m_sites as u32, objects_per_site as u32);
+        let slot_of = |key: u64| {
+            let (site, object) = unpack_key(key);
+            let site = site.checked_rem(m).unwrap_or(site);
+            let object = object.checked_rem(l).unwrap_or(object);
+            ((u64::from(site) << obj_bits) | u64::from(object)) as u32
+        };
+
+        // Pass 1: count per server. Once ordered, the timestamps are no
+        // longer needed, so each one is overwritten with the event's server
+        // and pass 2 does not hash again.
+        let mut offsets = vec![0usize; n_servers + 1];
+        for e in &mut events {
+            let server = (mix64(e.key) % n_servers as u64) as usize;
+            offsets[server + 1] += 1;
+            e.timestamp_us = server as u64;
+        }
+        for s in 0..n_servers {
+            offsets[s + 1] += offsets[s];
+        }
+        // Pass 2: stable scatter from the back, each segment filled from its
+        // end. Zeroed, so pages become resident only as they are written.
+        let mut slots = vec![0u32; events.len()];
+        let mut cursor = offsets[1..].to_vec();
+        while !events.is_empty() {
+            let keep = events.len().saturating_sub(block);
+            for e in events[keep..].iter().rev() {
+                let at = &mut cursor[e.timestamp_us as usize];
+                *at -= 1;
+                slots[*at] = slot_of(e.key);
+            }
+            events.truncate(keep);
+            events.shrink_to_fit();
+        }
+        Self {
+            offsets,
+            slots,
+            obj_bits,
+        }
+    }
+
+    /// Partition `events` for replay against `scenario`'s servers and
+    /// catalog.
+    pub fn for_scenario(events: Vec<TraceEvent>, scenario: &Scenario) -> Self {
+        Self::from_events(
+            events,
+            scenario.problem.n_servers(),
+            scenario.problem.m_sites(),
+            scenario.config.workload.objects_per_site,
+        )
     }
 
     /// Stream lengths per server (the warm-up sizing input).
     pub fn lengths(&self) -> Vec<u64> {
-        self.streams.iter().map(|s| s.len() as u64).collect()
+        self.offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u64)
+            .collect()
     }
 
     /// Total events across all servers.
     pub fn total_events(&self) -> u64 {
-        self.streams.iter().map(|s| s.len() as u64).sum()
+        self.slots.len() as u64
     }
 
-    /// Iterate one server's stream (cloned requests, cheap `Copy` items).
+    /// Iterate one server's stream, unpacking each slot.
     pub fn stream_for_server(&self, server: usize) -> impl Iterator<Item = Request> + '_ {
-        self.streams[server].iter().copied()
+        let obj_bits = self.obj_bits;
+        let mask = ((1u64 << obj_bits) - 1) as u32;
+        self.slots[self.offsets[server]..self.offsets[server + 1]]
+            .iter()
+            .map(move |&slot| Request {
+                site: (u64::from(slot) >> obj_bits) as u32,
+                object: slot & mask,
+                flavor: Flavor::Normal,
+            })
     }
 }
 
@@ -192,12 +292,21 @@ impl ReplayStreams {
 /// other strategy uses the default LRU sized to each server's leftover
 /// space.
 pub fn replay_events(scenario: &Scenario, plan: &PlanResult, events: Vec<TraceEvent>) -> SimReport {
-    let streams = ReplayStreams::from_events(
-        events,
-        scenario.problem.n_servers(),
-        scenario.problem.m_sites(),
-        scenario.config.workload.objects_per_site,
-    );
+    replay_streams(
+        scenario,
+        plan,
+        &ReplayStreams::for_scenario(events, scenario),
+    )
+}
+
+/// [`replay_events`] over streams already partitioned for `scenario`
+/// ([`ReplayStreams::for_scenario`]), so one partition serves any number
+/// of plans and simulator settings.
+pub fn replay_streams(
+    scenario: &Scenario,
+    plan: &PlanResult,
+    streams: &ReplayStreams,
+) -> SimReport {
     let lengths = streams.lengths();
     let make_zero: &(dyn Fn(u64) -> Box<dyn Cache> + Sync) =
         &|_| Box::new(cdn_cache::LruCache::new(0));
@@ -315,6 +424,65 @@ mod tests {
                 .collect(),
         );
         assert_eq!(report.total_requests, 200);
+    }
+
+    #[test]
+    fn slots_pack_catalogs_up_to_32_bits() {
+        // 2^32 sites of one object: the site clamp is the identity and the
+        // object takes no bits.
+        let events = vec![
+            TraceEvent {
+                key: pack_key(u32::MAX, 9),
+                timestamp_us: 1,
+            },
+            TraceEvent {
+                key: pack_key(3, u32::MAX),
+                timestamp_us: 2,
+            },
+        ];
+        let streams = ReplayStreams::from_events(events.clone(), 1, 1 << 32, 1);
+        let got: Vec<(u32, u32)> = streams
+            .stream_for_server(0)
+            .map(|r| (r.site, r.object))
+            .collect();
+        assert_eq!(got, vec![(u32::MAX, 0), (3, 0)]);
+        // 2^16 sites x 2^16 objects fills the slot exactly.
+        let streams = ReplayStreams::from_events(events, 1, 1 << 16, 1 << 16);
+        let got: Vec<(u32, u32)> = streams
+            .stream_for_server(0)
+            .map(|r| (r.site, r.object))
+            .collect();
+        assert_eq!(got, vec![(0xFFFF, 9), (3, 0xFFFF)]);
+    }
+
+    #[test]
+    fn release_block_size_does_not_change_the_partition() {
+        // Out of order with ties, so the sort runs; keys outside the catalog.
+        let events: Vec<TraceEvent> = (0..500u64)
+            .map(|i| TraceEvent {
+                key: i.wrapping_mul(0x2545_F491_4F6C_DD1D) % 97,
+                timestamp_us: (i * 7919) % 61,
+            })
+            .collect();
+        let whole = ReplayStreams::scatter(events.clone(), 5, 7, 3, usize::MAX);
+        for block in [1, 7, 64, 499] {
+            let blocked = ReplayStreams::scatter(events.clone(), 5, 7, 3, block);
+            assert_eq!(blocked.lengths(), whole.lengths(), "block {block}");
+            for server in 0..5 {
+                assert!(
+                    blocked
+                        .stream_for_server(server)
+                        .eq(whole.stream_for_server(server)),
+                    "block {block}, server {server}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "catalog too large for 32-bit replay slots")]
+    fn slot_overflowing_catalog_is_rejected() {
+        ReplayStreams::from_events(Vec::new(), 1, (1 << 16) + 1, 1 << 16);
     }
 
     #[test]

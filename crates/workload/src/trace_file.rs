@@ -120,7 +120,8 @@ pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
 /// Decode a full in-memory file image. Convenience for tests and small
 /// traces; large files should stream through [`EventsReader`].
 pub fn decode_events(bytes: &[u8]) -> Result<Vec<TraceEvent>, TraceFileError> {
-    EventsReader::new(bytes)?.collect()
+    let records = bytes.len().saturating_sub(HEADER_LEN) / EVENT_LEN;
+    EventsReader::new(bytes)?.read_all(records as u64)
 }
 
 /// Write `events` to `path` as a `.events` file.
@@ -137,8 +138,15 @@ pub fn open_events_file(path: &Path) -> Result<EventsReader<BufReader<File>>, Tr
 }
 
 /// Read a whole `.events` file into memory (streaming decode underneath).
+///
+/// Returns exactly what collecting an [`EventsReader`] over the file
+/// returns, errors included. The result is pre-sized from the header, but
+/// never beyond the records the file can hold, so a corrupt count cannot
+/// force a huge allocation.
 pub fn read_events_file(path: &Path) -> Result<Vec<TraceEvent>, TraceFileError> {
-    open_events_file(path)?.collect()
+    let file = File::open(path)?;
+    let records = file.metadata()?.len().saturating_sub(HEADER_LEN as u64) / EVENT_LEN as u64;
+    EventsReader::new(file)?.read_all(records)
 }
 
 /// How many bytes [`EventsReader`] asks the source for per refill.
@@ -152,11 +160,12 @@ const CHUNK_BYTES: usize = 64 * 1024;
 /// record are ever buffered.
 pub struct EventsReader<R: Read> {
     src: R,
-    /// Undecoded bytes carried between refills (always < [`EVENT_LEN`]).
-    carry: Vec<u8>,
-    buf: Vec<u8>,
+    /// Fixed `CHUNK_BYTES + EVENT_LEN` buffer; `buf[pos..end]` is undecoded.
+    buf: Box<[u8]>,
     /// Next undecoded position in `buf`.
     pos: usize,
+    /// End of the bytes read into `buf`.
+    end: usize,
     /// Events the header promised.
     declared: u64,
     /// Events yielded so far.
@@ -194,9 +203,9 @@ impl<R: Read> EventsReader<R> {
         let declared = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
         Ok(Self {
             src,
-            carry: Vec::new(),
-            buf: Vec::new(),
+            buf: vec![0; CHUNK_BYTES + EVENT_LEN].into_boxed_slice(),
             pos: 0,
+            end: 0,
             declared,
             yielded: 0,
             offset: HEADER_LEN as u64,
@@ -209,17 +218,52 @@ impl<R: Read> EventsReader<R> {
         self.declared
     }
 
-    /// Pull the next chunk from the source, keeping any partial record.
-    fn refill(&mut self) -> Result<usize, TraceFileError> {
-        self.carry.clear();
-        self.carry.extend_from_slice(&self.buf[self.pos..]);
-        self.buf.clear();
-        self.buf.resize(self.carry.len() + CHUNK_BYTES, 0);
-        self.buf[..self.carry.len()].copy_from_slice(&self.carry);
-        let got = read_up_to(&mut self.src, &mut self.buf[self.carry.len()..])?;
-        self.buf.truncate(self.carry.len() + got);
+    /// Pull the next chunk from the source after any partial record,
+    /// which moves to the front of the buffer.
+    fn refill(&mut self) -> Result<(), TraceFileError> {
+        let carry = self.end - self.pos;
+        self.buf.copy_within(self.pos..self.end, 0);
+        let got = read_up_to(&mut self.src, &mut self.buf[carry..carry + CHUNK_BYTES])?;
         self.pos = 0;
-        Ok(got)
+        self.end = carry + got;
+        Ok(())
+    }
+
+    /// Collect every remaining event, as `collect::<Result<Vec<_>, _>>()`
+    /// would, but decoding the whole records of each chunk in bulk.
+    /// [`Iterator::next`] still decodes the record at each chunk edge, so
+    /// errors keep their variant and byte offset. `records` bounds the
+    /// pre-sizing: the file's record capacity when known.
+    fn read_all(mut self, records: u64) -> Result<Vec<TraceEvent>, TraceFileError> {
+        let presize = records.min(self.declared - self.yielded);
+        let mut events = Vec::with_capacity(usize::try_from(presize).unwrap_or(0));
+        while !self.done {
+            // Stop short of the declared count: the record past it must go
+            // through `next` to report the mismatch.
+            let room = self.declared - self.yielded;
+            let whole =
+                ((self.end - self.pos) / EVENT_LEN).min(room.try_into().unwrap_or(usize::MAX));
+            let bytes = &self.buf[self.pos..self.pos + whole * EVENT_LEN];
+            events.extend(bytes.chunks_exact(EVENT_LEN).map(decode_record));
+            self.pos += whole * EVENT_LEN;
+            self.offset += (whole * EVENT_LEN) as u64;
+            self.yielded += whole as u64;
+            match self.next() {
+                Some(Ok(e)) => events.push(e),
+                Some(Err(e)) => return Err(e),
+                None => {}
+            }
+        }
+        Ok(events)
+    }
+}
+
+/// Decode one [`EVENT_LEN`]-byte record.
+#[inline]
+fn decode_record(record: &[u8]) -> TraceEvent {
+    TraceEvent {
+        key: u64::from_le_bytes(record[..8].try_into().expect("8 bytes")),
+        timestamp_us: u64::from_le_bytes(record[8..16].try_into().expect("8 bytes")),
     }
 }
 
@@ -230,15 +274,12 @@ impl<R: Read> Iterator for EventsReader<R> {
         if self.done {
             return None;
         }
-        if self.buf.len() - self.pos < EVENT_LEN {
-            match self.refill() {
-                Ok(_) => {}
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+        if self.end - self.pos < EVENT_LEN {
+            if let Err(e) = self.refill() {
+                self.done = true;
+                return Some(Err(e));
             }
-            let rest = self.buf.len() - self.pos;
+            let rest = self.end - self.pos;
             if rest == 0 {
                 self.done = true;
                 if self.yielded != self.declared {
@@ -257,10 +298,7 @@ impl<R: Read> Iterator for EventsReader<R> {
                 }));
             }
         }
-        let at = self.pos;
-        let key = u64::from_le_bytes(self.buf[at..at + 8].try_into().expect("8 bytes"));
-        let timestamp_us =
-            u64::from_le_bytes(self.buf[at + 8..at + 16].try_into().expect("8 bytes"));
+        let event = decode_record(&self.buf[self.pos..self.pos + EVENT_LEN]);
         self.pos += EVENT_LEN;
         self.offset += EVENT_LEN as u64;
         self.yielded += 1;
@@ -272,7 +310,7 @@ impl<R: Read> Iterator for EventsReader<R> {
                 found: self.yielded,
             }));
         }
-        Some(Ok(TraceEvent { key, timestamp_us }))
+        Some(Ok(event))
     }
 }
 
@@ -448,6 +486,24 @@ mod tests {
     }
 
     #[test]
+    fn lying_header_count_cannot_force_a_huge_allocation() {
+        // Pre-sizing by the header alone would overflow `Vec` capacity.
+        let mut bytes = encode_events(&[ev(1, 10), ev(2, 20)]);
+        bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mismatch = Err(TraceFileError::CountMismatch {
+            declared: u64::MAX,
+            found: 2,
+        });
+        assert_eq!(decode_events(&bytes), mismatch);
+        let dir = std::env::temp_dir().join("cdn-trace-file-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("lying_header_{}.events", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_events_file(&path), mismatch);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn missing_file_is_an_io_error() {
         let err = read_events_file(Path::new("/nonexistent/trace.events")).unwrap_err();
         assert!(matches!(err, TraceFileError::Io(_)), "{err:?}");
@@ -496,6 +552,44 @@ mod tests {
                 let mut bytes = encode_events(&events);
                 bytes[at] ^= 0xFF;
                 prop_assert!(decode_events(&bytes).is_err());
+            }
+
+            /// The bulk decoders (`read_events_file`, `decode_events`)
+            /// return exactly what the per-record iterator collects, `Ok`
+            /// and `Err` alike, on intact, truncated, header-corrupted,
+            /// miscounted and overlong files spanning several chunks.
+            #[test]
+            fn bulk_decode_matches_per_record_collect(
+                n in 0usize..9_000,
+                damage in 0u8..5,
+                at in any::<u64>(),
+                delta in 0u64..4,
+            ) {
+                let events: Vec<TraceEvent> = (0..n as u64)
+                    .map(|i| ev(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i ^ at))
+                    .collect();
+                let mut bytes = encode_events(&events);
+                match damage {
+                    0 => {}
+                    1 => bytes.truncate((at % bytes.len() as u64) as usize),
+                    2 => bytes[(at % HEADER_LEN as u64) as usize] ^= (delta as u8) + 1,
+                    3 => {
+                        let declared = (n as u64 + delta).wrapping_sub(2);
+                        bytes[12..20].copy_from_slice(&declared.to_le_bytes());
+                    }
+                    _ => bytes.extend(std::iter::repeat_n(0xAB, (at % 40) as usize)),
+                }
+                let collect = || {
+                    EventsReader::new(&bytes[..])?.collect::<Result<Vec<_>, _>>()
+                };
+                let dir = std::env::temp_dir().join("cdn-trace-file-test");
+                std::fs::create_dir_all(&dir).unwrap();
+                let path = dir.join(format!("bulk_{}.events", std::process::id()));
+                std::fs::write(&path, &bytes).unwrap();
+                let from_file = read_events_file(&path);
+                std::fs::remove_file(&path).unwrap();
+                prop_assert_eq!(from_file, collect());
+                prop_assert_eq!(decode_events(&bytes), collect());
             }
         }
     }

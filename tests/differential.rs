@@ -14,6 +14,7 @@
 //! margin. Keep the two in sync when tuning either.
 
 use cdn_cache::{Cache, LruCache, ObjectKey};
+use cdn_core::ReplayStreams;
 use cdn_lru_model::{CheModel, ClosedFormLru, LruModel};
 use cdn_placement::hybrid::hybrid_greedy_paper;
 use cdn_placement::{
@@ -25,7 +26,7 @@ use cdn_sim::{
     simulate_server, simulate_server_faulted, FaultParams, FaultSchedule, Holder, ServerPlan,
     ServerReport, SimConfig,
 };
-use cdn_workload::{Flavor, Request, ZipfLike};
+use cdn_workload::{pack_key, unpack_key, Flavor, Request, TraceEvent, ZipfLike};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -822,5 +823,84 @@ proptest! {
         dlru.access(key, 8);
         dlru.access(key, 8);
         prop_assert!(dlru.contains(key), "delayed-lru dropped a twice-touched object");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle 5: the CSR replay partition (counting scatter into packed slots)
+// vs. the straightforward push-based partition it replaced.
+// ---------------------------------------------------------------------------
+
+/// Reference partition: stable sort by timestamp, then push each clamped
+/// request onto its server's growing stream.
+fn push_partition(
+    mut events: Vec<TraceEvent>,
+    n_servers: usize,
+    m_sites: usize,
+    objects_per_site: usize,
+) -> Vec<Vec<Request>> {
+    // splitmix64 finaliser: the documented key -> server hash.
+    fn mix64(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+    events.sort_by_key(|e| e.timestamp_us);
+    let mut streams = vec![Vec::new(); n_servers];
+    for e in &events {
+        let (site, object) = unpack_key(e.key);
+        streams[(mix64(e.key) % n_servers as u64) as usize].push(Request {
+            site: site % m_sites as u32,
+            object: object % objects_per_site as u32,
+            flavor: Flavor::Normal,
+        });
+    }
+    streams
+}
+
+/// A catalog side: small (1 and non-powers of two included) or wide
+/// enough that site and object bits together fill most of a 32-bit slot.
+fn catalog_side() -> impl Strategy<Value = usize> {
+    prop_oneof![3 => 1usize..=40, 1 => 1_000usize..=65_535]
+}
+
+proptest! {
+    #[test]
+    fn csr_replay_partition_matches_push_partition(
+        n_servers in 1usize..=7,
+        m_sites in catalog_side(),
+        objects_per_site in catalog_side(),
+        len in 0usize..600,
+        ts_span in 1u64..50,
+        sorted in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut events: Vec<TraceEvent> = (0..len)
+            .map(|_| {
+                // Half the keys name catalog entries (and repeat), half are
+                // arbitrary 64-bit keys far outside the catalog.
+                let key = if rng.gen_bool(0.5) {
+                    pack_key(rng.gen_range(0..m_sites as u32), rng.gen_range(0..8))
+                } else {
+                    rng.gen()
+                };
+                // A narrow timestamp range forces many ties.
+                TraceEvent { key, timestamp_us: rng.gen_range(0..ts_span) }
+            })
+            .collect();
+        if sorted {
+            events.sort_by_key(|e| e.timestamp_us);
+        }
+        let expect = push_partition(events.clone(), n_servers, m_sites, objects_per_site);
+        let csr = ReplayStreams::from_events(events, n_servers, m_sites, objects_per_site);
+        let lengths: Vec<u64> = expect.iter().map(|s| s.len() as u64).collect();
+        prop_assert_eq!(csr.lengths(), lengths);
+        prop_assert_eq!(csr.total_events(), len as u64);
+        for (server, stream) in expect.iter().enumerate() {
+            let got: Vec<Request> = csr.stream_for_server(server).collect();
+            prop_assert_eq!(&got, stream, "server {}", server);
+        }
     }
 }
